@@ -30,11 +30,12 @@ main()
         auto r = bench::runServer(soc::PackagePolicy::Cshallow, wl);
         std::string paper = "-";
         if (qps == 4e3)
-            paper = "77%";
+            paper = TablePrinter::percent(ref::kPc1aResidencyAt4k, 0);
         else if (qps == 50e3)
-            paper = "20%";
+            paper = TablePrinter::percent(ref::kPc1aResidencyAt50k, 0);
         else if (qps == 100e3)
-            paper = ">=12%";
+            paper = ">=" + TablePrinter::percent(
+                               ref::kPc1aResidencyFloorAt100k, 0);
         a.row({TablePrinter::num(qps / 1000, 0) + "K",
                TablePrinter::percent(r.utilization),
                TablePrinter::percent(r.coreResidency[1]),
@@ -54,13 +55,15 @@ main()
                            low.idlePeriodFraction(10.0, 20.0)), "-"});
     c.row({"20-200 us", TablePrinter::percent(
                             low.idlePeriodFraction(20.0, 200.0)),
-           "~60%"});
+           "~" + TablePrinter::percent(
+                     ref::kIdlePeriods20to200usLowLoad, 0)});
     c.row({"200us-1ms", TablePrinter::percent(
                             low.idlePeriodFraction(200.0, 1000.0)), "-"});
     c.row({"> 1 ms", TablePrinter::percent(
                          low.idlePeriodFraction(1000.0, 1e9)), "-"});
     c.print();
-    std::printf("\nPC1A transition (<=200ns) is ~100x shorter than the "
-                "dominant idle-period bucket; PC6 (>50us) is not.\n");
+    std::printf("\nPC1A transition (<=%.0fns) is ~100x shorter than the "
+                "dominant idle-period bucket; PC6 (>%.0fus) is not.\n",
+                ref::kPc1aTotalNs, ref::kPc6TotalUs);
     return 0;
 }

@@ -28,15 +28,16 @@ main()
     TablePrinter a("Fig. 7(a) — idle SoC+DRAM power");
     a.header({"Config", "Power (sim)", "Power (paper)"});
     a.row({"Cshallow", TablePrinter::watts(idle_sh.totalPowerW()),
-           "49.5W"});
+           TablePrinter::watts(ref::kPc0idleSocW + ref::kPc0idleDramW)});
     a.row({"C_PC1A", TablePrinter::watts(idle_apc.totalPowerW()),
-           "29.1W"});
+           TablePrinter::watts(ref::kPc1aSocW + ref::kPc1aDramW)});
     a.row({"Cdeep", TablePrinter::watts(idle_dp.totalPowerW()),
-           "12.5W"});
+           TablePrinter::watts(ref::kPc6SocW + ref::kPc6DramW)});
     a.print();
-    std::printf("Idle reduction C_PC1A vs Cshallow: %s (paper: 41%%)\n",
+    std::printf("Idle reduction C_PC1A vs Cshallow: %s (paper: %s)\n",
                 TablePrinter::percent(1.0 - idle_apc.totalPowerW() /
-                                      idle_sh.totalPowerW()).c_str());
+                                      idle_sh.totalPowerW()).c_str(),
+                TablePrinter::percent(ref::kIdleSavings, 0).c_str());
 
     // (b)+(c) Load sweep.
     const double qps_points[] = {4e3, 10e3, 25e3, 50e3, 75e3, 100e3};
@@ -58,9 +59,9 @@ main()
         ++n;
         std::string paper = "-";
         if (qps == 4e3)
-            paper = "37%";
+            paper = TablePrinter::percent(ref::kPowerSavingsAt4k, 0);
         else if (qps == 50e3)
-            paper = "14%";
+            paper = TablePrinter::percent(ref::kPowerSavingsAt50k, 0);
         b.row({TablePrinter::num(qps / 1000, 0) + "K",
                TablePrinter::num(sh.totalPowerW()),
                TablePrinter::num(apc.totalPowerW()),
@@ -70,9 +71,12 @@ main()
                TablePrinter::percent(impact, 3)});
     }
     b.print();
-    std::printf("\nAverage savings over the low-load range: %s "
-                "(paper: ~25%% avg, up to 41%%); paper bound on "
-                "latency impact: <0.1%%\n",
-                TablePrinter::percent(savings_sum / n).c_str());
+    std::printf(
+        "\nAverage savings over the low-load range: %s "
+        "(paper: ~%s avg, up to %s); paper bound on latency impact: <%s\n",
+        TablePrinter::percent(savings_sum / n).c_str(),
+        TablePrinter::percent(ref::kMemcachedAvgEnergySavings, 0).c_str(),
+        TablePrinter::percent(ref::kMemcachedMaxEnergySavings, 0).c_str(),
+        TablePrinter::percent(ref::kMaxAvgLatencyImpact, 1).c_str());
     return 0;
 }

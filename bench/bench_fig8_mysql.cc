@@ -22,15 +22,20 @@ main()
     {
         const char *name;
         double util;
-        const char *paper_savings;
+        double paperSavings;
     };
-    const Point points[] = {{"low (8%)", 0.08, "~14%"},
-                            {"mid (16%)", 0.16, "~10%"},
-                            {"high (42%)", 0.42, "~7%"}};
+    const Point points[] = {{"low (8%)", 0.08, ref::kMysqlSavingsHi},
+                            {"mid (16%)", 0.16, ref::kMysqlSavingsMid},
+                            {"high (42%)", 0.42, ref::kMysqlSavingsLo}};
 
     TablePrinter t("Fig. 8 — MySQL");
-    t.header({"Load", "QPS", "util (sim)", "CC0", "CC1", "all-idle "
-              "(paper 20-37%)", "PC1A res.", "Savings", "paper"});
+    t.header({"Load", "QPS", "util (sim)", "CC0", "CC1",
+              "all-idle (paper " +
+                  TablePrinter::num(ref::kMysqlIdleResidencyLo * 100, 0) +
+                  "-" +
+                  TablePrinter::percent(ref::kMysqlIdleResidencyHi, 0) +
+                  ")",
+              "PC1A res.", "Savings", "paper"});
     for (const auto &p : points) {
         const double qps = base_wl.qpsForUtilization(p.util, 10);
         const auto wl = workload::WorkloadConfig::mysqlOltp(qps);
@@ -45,14 +50,16 @@ main()
                TablePrinter::percent(sh.coreResidency[1]),
                TablePrinter::percent(sh.allIdleFraction),
                TablePrinter::percent(apc.pc1aResidency()),
-               TablePrinter::percent(savings), p.paper_savings});
+               TablePrinter::percent(savings),
+               "~" + TablePrinter::percent(p.paperSavings, 0)});
     }
     t.print();
 
     const auto idle_sh = bench::runIdle(soc::PackagePolicy::Cshallow);
     const auto idle_apc = bench::runIdle(soc::PackagePolicy::Cpc1a);
-    std::printf("\nFully idle server reduction: %s (paper: 41%%)\n",
+    std::printf("\nFully idle server reduction: %s (paper: %s)\n",
                 TablePrinter::percent(1.0 - idle_apc.totalPowerW() /
-                                      idle_sh.totalPowerW()).c_str());
+                                      idle_sh.totalPowerW()).c_str(),
+                TablePrinter::percent(ref::kIdleSavings, 0).c_str());
     return 0;
 }

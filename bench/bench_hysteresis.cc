@@ -13,6 +13,8 @@
 
 #include "bench_common.h"
 
+#include <functional>
+
 #include "soc/soc.h"
 
 using namespace apc;

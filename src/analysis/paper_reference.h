@@ -64,8 +64,9 @@ inline constexpr double kNetworkLatencyUs = 117.0;
 // Fig. 8 (MySQL) and Fig. 9 (Kafka).
 inline constexpr double kMysqlIdleResidencyLo = 0.20;
 inline constexpr double kMysqlIdleResidencyHi = 0.37;
-inline constexpr double kMysqlSavingsLo = 0.07;
-inline constexpr double kMysqlSavingsHi = 0.14;
+inline constexpr double kMysqlSavingsLo = 0.07;  // high load (42%)
+inline constexpr double kMysqlSavingsMid = 0.10; // mid load (16%)
+inline constexpr double kMysqlSavingsHi = 0.14;  // low load (8%)
 inline constexpr double kKafkaResidencyLo = 0.15;
 inline constexpr double kKafkaResidencyHi = 0.47;
 inline constexpr double kKafkaSavingsLo = 0.09;

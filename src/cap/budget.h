@@ -120,6 +120,8 @@ class BudgetAllocator
 
     /** Servers currently participating in allocation. */
     std::size_t activeServers() const;
+    /** True while server @p i participates in allocation. */
+    bool active(std::size_t i) const { return active_[i] != 0; }
 
     const std::vector<EpochRecord> &
     log() const

@@ -83,10 +83,10 @@ Apmu::toAcc1()
 {
     assert(state_ == State::Pc0);
     setState(State::Acc1);
-    const auto gen = ++flowGen_;
+    flow_.restart();
     // One FSM cycle to drive the AllowL0s wires.
-    sim_.after(cfg_.cycle(), [this, gen] {
-        if (flowGen_ != gen || state_ != State::Acc1)
+    sim_.after(cfg_.cycle(), flow_.guard([this] {
+        if (state_ != State::Acc1)
             return;
         if (cfg_.useShallowLinks) {
             for (auto *l : links_)
@@ -101,7 +101,7 @@ Apmu::toAcc1()
         // IO-only wake); re-check once the wires settle.
         if (allL0s_->output().read())
             maybeBeginEntry();
-    });
+    }));
 }
 
 void
@@ -109,7 +109,7 @@ Apmu::toPc0()
 {
     assert(state_ == State::Acc1);
     setState(State::Pc0);
-    ++flowGen_;
+    flow_.restart();
     // Bring the IO links back to full L0 (paper: AllowL0s is unset when
     // the flow reaches PC0 on a core interrupt).
     if (cfg_.useShallowLinks) {
@@ -150,13 +150,11 @@ Apmu::beginEntry()
     setState(State::Entering);
     entryStart_ = sim_.now();
     wakePending_ = false;
-    const auto gen = ++flowGen_;
+    flow_.restart();
     const sim::Tick cyc = cfg_.cycle();
 
     // Both branches launch one FSM cycle after &InL0s is observed.
-    sim_.after(cyc, [this, gen, cyc] {
-        if (flowGen_ != gen)
-            return;
+    sim_.after(cyc, flow_.guard([this, cyc] {
         sim::Tick blocking = 0;
 
         // Branch (i) — CLMR: clock-gate the CLM, then start the
@@ -164,11 +162,8 @@ Apmu::beginEntry()
         if (cfg_.useClmr && clm_) {
             clm_->gateClocks();
             const sim::Tick gate = clm_->config().clockTree.gateLatency;
-            sim_.after(gate, [this, gen] {
-                if (flowGen_ != gen)
-                    return;
-                clm_->setRetention(true);
-            });
+            sim_.after(gate,
+                       flow_.guard([this] { clm_->setRetention(true); }));
             blocking = std::max(blocking, gate);
         }
 
@@ -190,12 +185,8 @@ Apmu::beginEntry()
             plls_->powerOffAll();
 
         // One more cycle to latch InPC1A after the blocking work.
-        sim_.after(blocking + cyc, [this, gen] {
-            if (flowGen_ != gen)
-                return;
-            finishEntry();
-        });
-    });
+        sim_.after(blocking + cyc, flow_.guard([this] { finishEntry(); }));
+    }));
 }
 
 void
@@ -237,54 +228,42 @@ Apmu::startExit()
     exitStart_ = sim_.now();
     wakePending_ = false;
     inPc1a_.write(false);
-    const auto gen = ++flowGen_;
+    flow_.restart();
     const sim::Tick cyc = cfg_.cycle();
 
-    exitJoinsPending_ = 2;
-    auto branch_done = [this, gen] {
-        if (flowGen_ != gen)
-            return;
-        if (--exitJoinsPending_ == 0)
-            finishExit();
-    };
+    const auto exit =
+        joins_.start(2, flow_.guard([this] { finishExit(); }));
+    auto branch_done = [this, exit] { joins_.arrive(exit); };
 
     // Branch (i) — CLMR: unset Ret, wait PwrOk, clock-ungate. With the
     // keep-PLLs-on ablation disabled the relock must also complete
     // before the clocks can be distributed again.
-    sim_.after(cyc, [this, gen, branch_done] {
-        if (flowGen_ != gen)
-            return;
+    sim_.after(cyc, flow_.guard([this, branch_done] {
         if (!(cfg_.useClmr && clm_)) {
             branch_done();
             return;
         }
         clm_->setRetention(false);
-        auto ungate = [this, gen, branch_done] {
-            if (flowGen_ != gen)
-                return;
+        auto ungate = flow_.guard([this, branch_done] {
             clm_->ungateClocks();
             sim_.after(clm_->config().clockTree.gateLatency, branch_done);
-        };
-        auto after_pwrok = [this, gen, ungate] {
-            if (flowGen_ != gen)
-                return;
+        });
+        auto after_pwrok = flow_.guard([this, ungate]() mutable {
             if (!cfg_.keepPllsOn && plls_)
                 plls_->powerOnAll(ungate);
             else
                 ungate();
-        };
+        });
         const sim::Tick settle = clm_->settleTimeRemaining();
         if (settle == 0)
             after_pwrok();
         else
             sim_.after(settle, after_pwrok);
-    });
+    }));
 
     // Branch (ii) — IOSM: unset Allow_CKE_OFF; the MCs exit CKE-off
     // within ~24 ns (or self-refresh within µs for the ablation).
-    sim_.after(cyc, [this, gen, branch_done] {
-        if (flowGen_ != gen)
-            return;
+    sim_.after(cyc, flow_.guard([this, branch_done] {
         if (cfg_.useCkeOff) {
             sim::Tick worst = 0;
             for (auto *m : mcs_) {
@@ -293,24 +272,16 @@ Apmu::startExit()
             }
             sim_.after(worst, branch_done);
         } else {
-            auto pending = std::make_shared<int>(
-                static_cast<int>(mcs_.size()));
-            if (*pending == 0) {
-                branch_done();
-                return;
-            }
+            const auto id =
+                joins_.start(static_cast<int>(mcs_.size()), branch_done);
             for (auto *m : mcs_) {
-                auto cb = [pending, branch_done] {
-                    if (--*pending == 0)
-                        branch_done();
-                };
                 if (m->state() == dram::McState::SelfRefresh)
-                    m->exitSelfRefresh(cb);
+                    m->exitSelfRefresh(joins_.part(id));
                 else
-                    cb();
+                    joins_.arrive(id);
             }
         }
-    });
+    }));
 }
 
 void

@@ -29,7 +29,6 @@
 #define APC_CORE_APMU_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -37,6 +36,7 @@
 #include "cpu/core.h"
 #include "dram/memory_controller.h"
 #include "io/io_link.h"
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
@@ -59,6 +59,8 @@ class Apmu
         Exiting = 4,
     };
     static constexpr std::size_t kNumStates = 5;
+
+    using StateObserver = sim::InplaceFunction<void(State), 32>;
 
     /** What ended the last PC1A residency. */
     enum class WakeReason
@@ -92,7 +94,7 @@ class Apmu
 
     /** Register a state-change observer (Soc residency tracking). */
     void
-    onStateChange(std::function<void(State)> fn)
+    onStateChange(StateObserver fn)
     {
         observers_.push_back(std::move(fn));
     }
@@ -142,10 +144,10 @@ class Apmu
     sim::Signal inPc1a_;
     std::unique_ptr<sim::AndTree> allCc1_;
     std::unique_ptr<sim::AndTree> allL0s_;
-    std::uint64_t flowGen_ = 0; ///< invalidates stale flow events
+    sim::Flow flow_; ///< the entry/exit flow in progress
     bool wakePending_ = false;
     WakeReason lastWake_ = WakeReason::None;
-    int exitJoinsPending_ = 0;
+    sim::Joins joins_;
     sim::Tick entryStart_ = 0;
     sim::Tick exitStart_ = 0;
     /** Far in the past: the first entry is never rate-limited. */
@@ -154,7 +156,7 @@ class Apmu
     std::uint64_t pc1aEntries_ = 0;
     stats::Summary entryLatencyNs_;
     stats::Summary exitLatencyNs_;
-    std::vector<std::function<void(State)>> observers_;
+    std::vector<StateObserver> observers_;
 };
 
 } // namespace apc::core

@@ -62,7 +62,7 @@ Core::beginEntry(CState s)
     // previous level; model it as the pre-entry power (CC0 on first
     // entry, the shallower state's power on a promotion).
     const sim::Tick lat = params(s).entryLatency;
-    transitionEvent_ = sim_.after(lat, [this] { finishEntry(); });
+    sim_.after(lat, [this] { finishEntry(); });
 }
 
 void
@@ -102,20 +102,16 @@ Core::armPromotion()
 }
 
 void
-Core::requestWake(std::function<void()> on_active)
+Core::requestWake(sim::Callback on_active)
 {
-    switch (phase_) {
-      case Phase::Active:
+    if (phase_ == Phase::Active) {
         if (on_active)
             on_active();
         return;
-      case Phase::Exiting:
-        if (on_active)
-            wakeCallbacks_.push_back(std::move(on_active));
-        return;
+    }
+    wakeCallbacks_.add(std::move(on_active));
+    switch (phase_) {
       case Phase::Entering:
-        if (on_active)
-            wakeCallbacks_.push_back(std::move(on_active));
         wakePending_ = true;
         // The PMA reports the wake immediately so package-level exit can
         // start concurrently with the core's own transition.
@@ -123,11 +119,11 @@ Core::requestWake(std::function<void()> on_active)
         inCc6_.write(false);
         return;
       case Phase::Idle:
-        if (on_active)
-            wakeCallbacks_.push_back(std::move(on_active));
         wakePending_ = true;
         beginExit();
         return;
+      default:
+        return; // Exiting: the wake in flight serves this request too
     }
 }
 
@@ -143,8 +139,7 @@ Core::beginExit()
                             sim_.now());
     // Wake transitions burn roughly active power (state restore etc.).
     load_.setPower(activePowerWatts_);
-    transitionEvent_ = sim_.after(params(state_).exitLatency,
-                                  [this] { finishExit(); });
+    sim_.after(params(state_).exitLatency, [this] { finishExit(); });
 }
 
 void
@@ -155,10 +150,7 @@ Core::finishExit()
     wakePending_ = false;
     ++wakeups_;
     governor_->recordIdle(sim_.now() - idleStart_);
-    auto cbs = std::move(wakeCallbacks_);
-    wakeCallbacks_.clear();
-    for (auto &cb : cbs)
-        cb();
+    wakeCallbacks_.drain();
 }
 
 } // namespace apc::cpu

@@ -15,14 +15,13 @@
 #define APC_CPU_CORE_H
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cpu/cstate.h"
 #include "cpu/governor.h"
 #include "power/energy_meter.h"
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/residency.h"
@@ -72,7 +71,7 @@ class Core
      * is executing again. If already Active, runs synchronously. Multiple
      * concurrent requests coalesce into one wake.
      */
-    void requestWake(std::function<void()> on_active);
+    void requestWake(sim::Callback on_active);
 
     Phase phase() const { return phase_; }
     bool isActive() const { return phase_ == Phase::Active; }
@@ -147,9 +146,8 @@ class Core
     sim::Signal inCc6_;
     power::PowerLoad load_;
     stats::ResidencyCounter<kNumCStates> residency_;
-    sim::EventHandle transitionEvent_;
     sim::EventHandle promotionEvent_;
-    std::vector<std::function<void()>> wakeCallbacks_;
+    sim::WaitList<> wakeCallbacks_;
     bool wakePending_ = false;
     sim::Tick idleStart_ = 0;
     std::uint64_t wakeups_ = 0;

@@ -84,16 +84,12 @@ MemoryController::beginWake()
         ? cfg_.ckeOffExit : cfg_.selfRefreshExit;
     // Wake burns active-level power (DLL / interface re-enable).
     mcLoad_.setPower(cfg_.mcActiveWatts);
-    transitionEvent_ = sim_.after(exit_lat, [this] {
+    sim_.after(exit_lat, [this] {
         transitioning_ = false;
         if (state_ == McState::CkeOff)
             ++ckeWakes_;
         setState(McState::Active);
-        auto waiters = std::move(waiters_);
-        waiters_.clear();
-        for (auto &w : waiters)
-            if (w)
-                w();
+        waiters_.drain();
         // If the wake was spurious (e.g. Allow_CKE_OFF still set and no
         // traffic arrived), drop straight back down.
         maybePowerDown();
@@ -101,7 +97,7 @@ MemoryController::beginWake()
 }
 
 void
-MemoryController::access(sim::Tick hold_time, std::function<void()> on_ready)
+MemoryController::access(sim::Tick hold_time, sim::Callback on_ready)
 {
     ++transactions_;
     downEvent_.cancel();
@@ -122,7 +118,8 @@ MemoryController::access(sim::Tick hold_time, std::function<void()> on_ready)
         serve();
         return;
     }
-    waiters_.push_back(std::move(serve));
+    static_assert(sim::EventFn::storesInline<decltype(serve)>());
+    waiters_.add(std::move(serve));
     if (!transitioning_)
         beginWake();
 }
@@ -149,7 +146,7 @@ MemoryController::endAccess()
 }
 
 void
-MemoryController::enterSelfRefresh(std::function<void()> done)
+MemoryController::enterSelfRefresh(sim::Callback done)
 {
     assert(transactions_ == 0 && !transitioning_ &&
            "self-refresh entry requires a quiesced controller");
@@ -161,8 +158,7 @@ MemoryController::enterSelfRefresh(std::function<void()> done)
     downEvent_.cancel();
     transitioning_ = true;
     active_.write(false);
-    transitionEvent_ = sim_.after(cfg_.selfRefreshEntry,
-                               [this, done = std::move(done)] {
+    sim_.after(cfg_.selfRefreshEntry, [this, done = std::move(done)] {
         transitioning_ = false;
         setState(McState::SelfRefresh);
         if (done)
@@ -171,10 +167,11 @@ MemoryController::enterSelfRefresh(std::function<void()> done)
 }
 
 void
-MemoryController::exitSelfRefresh(std::function<void()> done)
+MemoryController::exitSelfRefresh(sim::Callback done)
 {
     assert(state_ == McState::SelfRefresh);
-    waiters_.push_back(std::move(done));
+    if (done)
+        waiters_.add(std::move(done));
     if (!transitioning_)
         beginWake();
 }

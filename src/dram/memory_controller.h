@@ -20,11 +20,10 @@
 #define APC_DRAM_MEMORY_CONTROLLER_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "power/energy_meter.h"
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/residency.h"
@@ -88,7 +87,7 @@ class MemoryController
      * use with begin/endAccess or relies on the implicit transaction this
      * call holds until @p hold_time elapses).
      */
-    void access(sim::Tick hold_time, std::function<void()> on_ready);
+    void access(sim::Tick hold_time, sim::Callback on_ready);
 
     /** Manually bracket a period of memory traffic. */
     void beginAccess();
@@ -101,10 +100,10 @@ class MemoryController
     sim::Signal &active() { return active_; }
 
     /** GPMU (PC6) flow: put DRAM into self-refresh. */
-    void enterSelfRefresh(std::function<void()> done);
+    void enterSelfRefresh(sim::Callback done);
 
     /** GPMU (PC6) flow: leave self-refresh. */
-    void exitSelfRefresh(std::function<void()> done);
+    void exitSelfRefresh(sim::Callback done);
 
     McState state() const { return state_; }
     bool busy() const { return transactions_ > 0; }
@@ -146,8 +145,8 @@ class MemoryController
     power::PowerLoad dramLoad_;
     stats::ResidencyCounter<kNumMcStates> residency_;
     sim::EventHandle downEvent_;       ///< pending CKE-off entry
-    sim::EventHandle transitionEvent_; ///< wake / self-refresh entry
-    std::vector<std::function<void()>> waiters_;
+    /** Entries wrap an access's Callback with its hold time. */
+    sim::WaitList<sim::EventFn> waiters_;
     std::uint64_t ckeWakes_ = 0;
 };
 

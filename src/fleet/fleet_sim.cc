@@ -110,27 +110,22 @@ FleetSim::FleetSim(FleetConfig cfg)
             sc.cap.enabled = true; // the allocator needs enforcement
         servers_.push_back(
             std::make_unique<server::ServerSim>(std::move(sc)));
-        ShardSlot *slot = &slots_[layout_.shardOf(i)];
-        const auto srv = static_cast<std::uint32_t>(i);
         // The hooks fire inside advanceTo(), i.e. on the worker that
         // owns this slot for the phase — claim the writer role.
-        servers_[i]->onCompletion(
-            [slot, srv](std::uint64_t id, sim::Tick done) {
+        using Stream = std::vector<StagedEvent> ShardSlot::*;
+        const auto stage = [slot = &slots_[layout_.shardOf(i)],
+                            srv = static_cast<std::uint32_t>(i)](
+                               Stream stream) {
+            return [slot, srv, stream](std::uint64_t id, sim::Tick at) {
                 sim::RoleGuard own(slot->writer);
-                slot->completions.push_back({done, srv, id});
-            });
+                (slot->*stream).push_back({at, srv, id});
+            };
+        };
+        servers_[i]->onCompletion(stage(&ShardSlot::completions));
         if (cfg_.nic.enabled)
-            servers_[i]->onRxDrop(
-                [slot, srv](std::uint64_t id, sim::Tick at) {
-                    sim::RoleGuard own(slot->writer);
-                    slot->drops.push_back({at, srv, id});
-                });
+            servers_[i]->onRxDrop(stage(&ShardSlot::drops));
         if (cfg_.faults.enabled)
-            servers_[i]->onAbort(
-                [slot, srv](std::uint64_t id, sim::Tick at) {
-                    sim::RoleGuard own(slot->writer);
-                    slot->aborts.push_back({at, srv, id});
-                });
+            servers_[i]->onAbort(stage(&ShardSlot::aborts));
     }
     if (cfg_.faults.enabled)
         faultPlan_ = std::make_unique<fault::FaultPlan>(
@@ -344,6 +339,7 @@ FleetSim::applyFaults(sim::Tick from, sim::Tick to)
     // the server's own advance). Entries are appended in plan order,
     // so the reinsertion order is layout-invariant.
     if (!pendingUp_.empty()) {
+        bool rejoined = false;
         std::size_t kept = 0;
         for (const auto &pu : pendingUp_) {
             if (pu.first > from) {
@@ -361,8 +357,13 @@ FleetSim::applyFaults(sim::Tick from, sim::Tick to)
                          servers_[srv]->outstanding(), UINT32_MAX)));
             if (allocator_)
                 allocator_->setActive(srv, true);
+            rejoined = true;
         }
         pendingUp_.resize(kept);
+        // A rejoining server still holds the zero limit it was granted
+        // while dead: re-slice the budget before it takes a request.
+        if (rejoined && allocator_)
+            allocateBudgets(from);
     }
     faultPlan_->epoch(from, to, faultScratch_);
     for (const fault::FaultEvent &ev : faultScratch_) {
@@ -964,6 +965,23 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
     });
 }
 
+void
+FleetSim::finishEpoch(sim::Tick t0, sim::Tick t1)
+{
+    advanceShards(t1);
+    {
+        const auto sc = profiler_.scope(obs::PhaseProfiler::Phase::Merge);
+        drainCompletions();
+        drainNicDrops(t1);
+        drainAborts();
+        processRecovery(t1);
+    }
+    if (metrics_ && metrics_->due(t1))
+        sampleMetrics(t1);
+    if (health_ && measuring_)
+        healthEpoch(t0, t1);
+}
+
 FleetReport
 FleetSim::run()
 {
@@ -1004,18 +1022,7 @@ FleetSim::run()
             }
             dispatchEpoch(t, t1);
         }
-        advanceShards(t1);
-        {
-            const auto sc = profiler_.scope(Phase::Merge);
-            drainCompletions();
-            drainNicDrops(t1);
-            drainAborts();
-            processRecovery(t1);
-        }
-        if (metrics_ && metrics_->due(t1))
-            sampleMetrics(t1);
-        if (health_ && measuring_)
-            healthEpoch(t, t1);
+        finishEpoch(t, t1);
         t = t1;
     }
 
@@ -1034,18 +1041,7 @@ FleetSim::run()
     const sim::Tick deadline = end + cfg_.drainLimit;
     while (!inFlight_.empty() && t < deadline) {
         const sim::Tick t1 = std::min(t + cfg_.epoch, deadline);
-        advanceShards(t1);
-        {
-            const auto sc = profiler_.scope(Phase::Merge);
-            drainCompletions();
-            drainNicDrops(t1);
-            drainAborts();
-            processRecovery(t1);
-        }
-        if (metrics_ && metrics_->due(t1))
-            sampleMetrics(t1);
-        if (health_ && measuring_)
-            healthEpoch(t, t1);
+        finishEpoch(t, t1);
         t = t1;
     }
 
@@ -1214,12 +1210,12 @@ FleetSim::buildAuditSnapshot(sim::Tick now)
         snap.serverLimitW.reserve(servers_.size());
         for (const auto &s : servers_)
             snap.serverLimitW.push_back(s->powerLimitW());
-        if (faultPlan_) {
-            snap.serverActive.reserve(servers_.size());
-            for (const auto &s : servers_)
-                snap.serverActive.push_back(
-                    s->lifecycle() == server::Lifecycle::Up ? 1 : 0);
-        }
+        // The floor is owed to the allocator's members: a restarted
+        // server is Up before the route stage readmits it, but until
+        // then it is out of the pick set and granted zero on purpose.
+        if (faultPlan_)
+            for (std::size_t i = 0; i < servers_.size(); ++i)
+                snap.serverActive.push_back(allocator_->active(i));
     }
     return snap;
 }

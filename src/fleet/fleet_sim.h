@@ -469,6 +469,9 @@ class FleetSim
     /** Phase 2: per shard (parallel) — schedule staged injections,
      *  advance the shard's servers to @p to, sort staged outputs. */
     void advanceShards(sim::Tick to);
+    /** Close the epoch [t0, t1) after its route stage: advance, merge
+     *  (drains and recovery), then metrics and health. */
+    void finishEpoch(sim::Tick t0, sim::Tick t1);
     /** Phase 3 merges: apply one staged stream across all shards in
      *  (time, server, id) order; consumed streams are cleared. */
     template <typename Apply>

@@ -16,7 +16,7 @@
  * count — at 10k servers the old per-index fetch_add was 10k atomics
  * per epoch — while still letting a fast thread absorb a straggler's
  * unclaimed ranges. The callable is passed by type-erased reference
- * (no per-call std::function allocation), and batches with a single
+ * (no per-call callable allocation), and batches with a single
  * range run inline on the caller without waking any worker.
  *
  * With `threads == 1` the pool runs everything inline on the caller —

@@ -61,7 +61,7 @@ IoLink::IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
             idleTimer_.cancel();
             // Return to the active state when standby is disallowed.
             if (state_ == cfg_.shallowState && !exiting_)
-                beginShallowExit();
+                beginWake();
         }
     });
 }
@@ -105,36 +105,40 @@ IoLink::enterShallow()
 }
 
 void
-IoLink::beginShallowExit()
+IoLink::beginWake()
 {
-    assert(state_ == cfg_.shallowState && !exiting_);
+    assert(state_ != LState::L0 && !exiting_);
+    const bool shallow = state_ != LState::L1;
     exiting_ = true;
     // The wake event is visible to the APMU immediately (paper: the link
     // unsets InL0s as soon as the L0s exit starts).
     inL0s_.write(false);
     // Wake burns active-level power while lanes retrain.
     load_.setPower(cfg_.powerL0);
-    wakeEvent_ = sim_.after(cfg_.shallowExitLatency, [this] {
-        exiting_ = false;
-        ++shallowWakes_;
-        setState(LState::L0);
-        auto waiters = std::move(wakeWaiters_);
-        wakeWaiters_.clear();
-        for (auto &w : waiters)
-            if (w)
-                w();
-        updateIdleTimer();
-    });
+    sim_.after(shallow ? cfg_.shallowExitLatency : cfg_.l1ExitLatency,
+               [this, shallow] { finishWake(shallow); });
 }
 
 void
-IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
+IoLink::finishWake(bool shallow)
+{
+    exiting_ = false;
+    if (shallow)
+        ++shallowWakes_;
+    setState(LState::L0);
+    wakeWaiters_.drain();
+    updateIdleTimer();
+}
+
+void
+IoLink::transfer(sim::Tick payload_time, sim::Callback done)
 {
     ++transactions_;
     ++transfers_;
     idleTimer_.cancel();
 
-    auto start_payload = [this, payload_time, done = std::move(done)] {
+    auto start_payload = [this, payload_time,
+                          done = std::move(done)]() mutable {
         sim_.after(payload_time, [this, done = std::move(done)] {
             --transactions_;
             assert(transactions_ >= 0);
@@ -143,42 +147,17 @@ IoLink::transfer(sim::Tick payload_time, std::function<void()> done)
             updateIdleTimer();
         });
     };
+    static_assert(sim::EventFn::storesInline<decltype(start_payload)>());
 
-    switch (state_) {
-      case LState::L0:
-        if (exiting_) {
-            // A wake is already in flight; queue behind it. (Unreachable
-            // in practice: exiting_ implies a non-L0 state.)
-            wakeWaiters_.push_back(std::move(start_payload));
-        } else {
-            start_payload();
-        }
-        break;
-      case LState::L0s:
-      case LState::L0p:
-        wakeWaiters_.push_back(std::move(start_payload));
-        if (!exiting_)
-            beginShallowExit();
-        break;
-      case LState::L1:
-        wakeWaiters_.push_back(std::move(start_payload));
-        if (!exiting_) {
-            exiting_ = true;
-            inL0s_.write(false);
-            load_.setPower(cfg_.powerL0);
-            wakeEvent_ = sim_.after(cfg_.l1ExitLatency, [this] {
-                exiting_ = false;
-                setState(LState::L0);
-                auto waiters = std::move(wakeWaiters_);
-                wakeWaiters_.clear();
-                for (auto &w : waiters)
-                    if (w)
-                        w();
-                updateIdleTimer();
-            });
-        }
-        break;
+    // A wake in flight implies a non-L0 state: an awake link carries
+    // the payload now, any other queues it behind the (one) wake.
+    if (state_ == LState::L0) {
+        start_payload();
+        return;
     }
+    wakeWaiters_.add(std::move(start_payload));
+    if (!exiting_)
+        beginWake();
 }
 
 void
@@ -197,7 +176,7 @@ IoLink::endTransaction()
 }
 
 void
-IoLink::enterL1(std::function<void()> done)
+IoLink::enterL1(sim::Callback done)
 {
     assert(!exiting_ && transactions_ == 0 &&
            "enterL1 requires a quiesced link");
@@ -220,13 +199,14 @@ IoLink::enterL1(std::function<void()> done)
 }
 
 void
-IoLink::exitL1(std::function<void()> done)
+IoLink::exitL1(sim::Callback done)
 {
     // Traffic may have beaten the GPMU to the wake: queue behind an
     // exit already in flight, abort a not-yet-completed entry (the
     // link never left L0), and treat an awake link as a no-op.
     if (exiting_) {
-        wakeWaiters_.push_back(std::move(done));
+        if (done)
+            wakeWaiters_.add(std::move(done));
         return;
     }
     if (enteringL1_) {
@@ -242,20 +222,9 @@ IoLink::exitL1(std::function<void()> done)
             done();
         return;
     }
-    wakeWaiters_.push_back(std::move(done));
-    exiting_ = true;
-    inL0s_.write(false);
-    load_.setPower(cfg_.powerL0);
-    wakeEvent_ = sim_.after(cfg_.l1ExitLatency, [this] {
-        exiting_ = false;
-        setState(LState::L0);
-        auto waiters = std::move(wakeWaiters_);
-        wakeWaiters_.clear();
-        for (auto &w : waiters)
-            if (w)
-                w();
-        updateIdleTimer();
-    });
+    if (done)
+        wakeWaiters_.add(std::move(done));
+    beginWake();
 }
 
 } // namespace apc::io

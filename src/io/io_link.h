@@ -19,12 +19,11 @@
 #define APC_IO_IO_LINK_H
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "io/lstate.h"
 #include "power/energy_meter.h"
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/residency.h"
@@ -71,17 +70,17 @@ class IoLink
      * the link as needed (shallow exit or L1 retrain), then holds it
      * busy; @p done fires when the payload has crossed.
      */
-    void transfer(sim::Tick payload_time, std::function<void()> done);
+    void transfer(sim::Tick payload_time, sim::Callback done);
 
     /** Manually mark the link busy/idle (for agents with open DMA). */
     void beginTransaction();
     void endTransaction();
 
     /** Force the link into L1 (GPMU PC6 entry); @p done on completion. */
-    void enterL1(std::function<void()> done);
+    void enterL1(sim::Callback done);
 
     /** Bring the link out of L1 (PC6 exit); @p done when L0. */
-    void exitL1(std::function<void()> done);
+    void exitL1(sim::Callback done);
 
     LState state() const { return state_; }
     bool busy() const { return transactions_ > 0; }
@@ -118,8 +117,10 @@ class IoLink
     /** (Re)arm or cancel the idle timer for shallow entry. */
     void updateIdleTimer();
     void enterShallow();
-    /** Begin waking from the shallow state; @p then runs at L0. */
-    void beginShallowExit();
+    /** Begin waking to L0 from the shallow state or L1. */
+    void beginWake();
+    /** A wake reached L0: release the transfers queued behind it. */
+    void finishWake(bool shallow);
     void setState(LState s);
 
     sim::Simulation &sim_;
@@ -133,9 +134,9 @@ class IoLink
     power::PowerLoad load_;
     stats::ResidencyCounter<kNumLStates> residency_;
     sim::EventHandle idleTimer_;
-    sim::EventHandle wakeEvent_;
     sim::EventHandle entryEvent_;
-    std::vector<std::function<void()>> wakeWaiters_;
+    /** Entries wrap a transfer's Callback with its payload time. */
+    sim::WaitList<sim::EventFn> wakeWaiters_;
     std::uint64_t shallowWakes_ = 0;
     std::uint64_t transfers_ = 0;
 };

@@ -142,15 +142,14 @@ Nic::fireInterrupt()
 }
 
 void
-Nic::txSend(std::function<void()> done)
+Nic::txSend(sim::Callback done)
 {
     ++stats_.txPackets;
     dmaBegin();
     link_.transfer(cfg_.dmaPerPacket,
-                   [this, done = std::move(done)] {
+                   [this, id = txDone_.start(1, std::move(done))] {
                        dmaEnd();
-                       if (done)
-                           done();
+                       txDone_.arrive(id);
                    });
 }
 

@@ -29,11 +29,11 @@
 #define APC_NET_NIC_H
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "io/io_link.h"
 #include "power/energy_meter.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
 
@@ -96,11 +96,12 @@ class Nic
      * the instant the interrupt was raised (DMA start), so the receiver
      * can account the NIC-wake -> fabric-ready latency.
      */
-    using DeliverFn =
-        std::function<void(std::vector<RxPacket> batch, sim::Tick irq_at)>;
+    using DeliverFn = sim::InplaceFunction<
+        void(std::vector<RxPacket> batch, sim::Tick irq_at), 32>;
 
     /** Ring-full tail drop of the packet carrying @p id. */
-    using DropFn = std::function<void(std::uint64_t id, sim::Tick at)>;
+    using DropFn =
+        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
 
     Nic(sim::Simulation &sim, power::EnergyMeter &meter, io::IoLink &link,
         const NicConfig &cfg);
@@ -116,7 +117,7 @@ class Nic
     void rxEnqueue(std::uint64_t id, sim::Tick service);
 
     /** DMA one response to the wire; @p done when it has left the NIC. */
-    void txSend(std::function<void()> done);
+    void txSend(sim::Callback done);
 
     /** Unsignalled RX descriptors currently waiting. */
     std::size_t ringOccupancy() const { return ring_.size(); }
@@ -168,6 +169,9 @@ class Nic
     NicStats stats_;
     DeliverFn deliverFn_;
     DropFn dropFn_;
+    /** TX completions in flight: each is a one-part join, so the link
+     *  callback carries only a slot id and stays inline. */
+    sim::Joins txDone_;
 };
 
 } // namespace apc::net

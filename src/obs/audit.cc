@@ -269,7 +269,8 @@ Auditor::audit(const AuditSnapshot &snap)
             if (!snap.anyEmergencyEver)
                 for (std::size_t i = 0; i < snap.serverLimitW.size();
                      ++i) {
-                    // A dead server is deliberately granted zero; its
+                    // A non-member (dead, or restarted but not yet
+                    // readmitted) is granted zero on purpose; its
                     // limit owes nothing to the floor.
                     if (i < snap.serverActive.size() &&
                         !snap.serverActive[i])

@@ -146,8 +146,9 @@ struct AuditSnapshot
     /** Last logged grant's rack budget (bounds the enforced limits). */
     double lastBudgetW = 0.0;
     std::vector<double> serverLimitW;
-    /** Per-server liveness at the snapshot (empty = everyone Up); a
-     *  dead server's enforced limit is exempt from the floor check. */
+    /** Per-server budget membership at the snapshot (empty = every
+     *  server is a member); a non-member is granted zero on purpose, so
+     *  its enforced limit is exempt from the floor check. */
     std::vector<std::uint8_t> serverActive;
 };
 

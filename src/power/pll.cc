@@ -10,15 +10,22 @@ Pll::Pll(sim::Simulation &sim, EnergyMeter &meter, std::string name,
 {}
 
 void
-Pll::powerOn()
+Pll::powerOn(sim::Callback on_locked)
 {
-    if (state_ != State::Off)
+    if (state_ == State::Locked) {
+        if (on_locked)
+            on_locked();
+        return;
+    }
+    lockWaiters_.add(std::move(on_locked));
+    if (state_ == State::Locking)
         return;
     state_ = State::Locking;
     load_.setPower(cfg_.powerWatts);
     lockEvent_ = sim_.after(cfg_.relockLatency, [this] {
         state_ = State::Locked;
         locked_.write(true);
+        lockWaiters_.drain();
     });
 }
 

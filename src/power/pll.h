@@ -15,6 +15,7 @@
 #include <string>
 
 #include "power/energy_meter.h"
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 
@@ -39,8 +40,10 @@ class Pll
     /**
      * Power the PLL on. If off, starts the relock; `locked` rises after
      * the relock latency. No-op if already locking or locked.
+     * @p on_locked runs once the PLL is locked: now if it already is,
+     * else right after `locked` rises.
      */
-    void powerOn();
+    void powerOn(sim::Callback on_locked = nullptr);
 
     /** Power the PLL off immediately; `locked` drops. */
     void powerOff();
@@ -66,6 +69,7 @@ class Pll
     sim::Signal locked_;
     PowerLoad load_;
     sim::EventHandle lockEvent_;
+    sim::WaitList<> lockWaiters_;
 };
 
 } // namespace apc::power

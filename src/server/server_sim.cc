@@ -334,108 +334,112 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         if (work > gov)
             dvfs_stall = work - gov;
     }
-    auto &mc = soc_->mc(idx % soc_->numMcs());
-    mc.beginAccess();
+    soc_->mc(idx % soc_->numMcs()).beginAccess();
 
     // The request completes when the local work has run *and* any
-    // remote memory access has returned over UPI.
-    auto pending = std::make_shared<int>(1);
-    auto finish = [this, idx, r, t0, &mc, pending, seg, dvfs_stall] {
-        if (--*pending > 0)
-            return;
-        mc.endAccess();
-        if (r.inc != inc_) {
-            // The crash destroyed this request on-core: its abort was
-            // already reported, so only the physical bookkeeping runs.
-            auto &c = ctx_[idx];
-            c.processing = false;
-            if (!c.queue.empty() && !capGated_)
-                pump(idx);
-            else
-                soc_->core(idx).release();
-            return;
-        }
-        ++completed_;
-        recordLatency(sim_.now() - r.arrival + cfg_.networkLatency);
-        if (trace_)
-            trace_->span(t0, sim_.now() - t0, obs::Name::Serve,
-                         obs::Track::Requests,
-                         r.id == kNoRequestId ? 0 : r.id);
-        if (seg) {
-            const sim::Tick serve = sim_.now() - t0 - dvfs_stall;
-            if (serve > 0)
-                trace_->span(t0, serve, obs::Name::SegServe,
-                             obs::Track::Segments, r.id);
-            if (dvfs_stall > 0)
-                trace_->span(t0 + serve, dvfs_stall,
-                             obs::Name::SegStallDvfs,
-                             obs::Track::Segments, r.id);
-        }
-        if (nic_) {
-            // Response TX through the NIC: the request completes (and
-            // the fleet's response enters the fabric) when the packet
-            // has left the device, not when the core finished.
-            const std::uint64_t rid = r.id;
-            const std::uint32_t rinc = r.inc;
-            const sim::Tick serve_end = sim_.now();
-            nic_->txSend([this, rid, rinc, serve_end] {
-                if (rid == kNoRequestId)
-                    return;
-                if (rinc != inc_)
-                    return; // crashed while the response was in TX
-                if (traceSeg_ && sim_.now() > serve_end)
-                    trace_->span(serve_end, sim_.now() - serve_end,
-                                 obs::Name::SegXmitResp,
-                                 obs::Track::Segments, rid);
-                completeInjected(rid);
-            });
-        } else {
-            if (r.id != kNoRequestId)
-                completeInjected(r.id);
-            // Response TX (fire-and-forget; keeps the NIC link busy).
-            soc_->nic().transfer(cfg_.workload.nicTransfer, nullptr);
-        }
-        // TX-completion softirq: IRQ affinity spreads the network
-        // stack's completion work onto another core.
-        scheduleSoftirq(idx);
-        auto &c = ctx_[idx];
-        c.processing = false;
-        if (!c.queue.empty() && !capGated_)
-            pump(idx);
-        else
-            soc_->core(idx).release();
-    };
+    // remote memory access has returned over UPI. The core stays
+    // pinned (processing) until finishServe() runs, crash ghosts
+    // included, so its context holds the request and the join count.
+    ctx.serving = r;
+    ctx.serveStart = t0;
+    ctx.dvfsStall = dvfs_stall;
+    ctx.partsLeft = 1;
     if (cfg_.numa.enabled &&
         sim_.rng().bernoulli(cfg_.numa.remoteFraction)) {
-        ++*pending;
-        remoteAccess(finish);
+        ++ctx.partsLeft;
+        remoteAccess(idx);
     }
-    sim_.after(work, finish);
+    sim_.after(work, [this, idx] { finishServe(idx); });
 }
 
 void
-ServerSim::remoteAccess(std::function<void()> done)
+ServerSim::finishServe(std::size_t idx)
+{
+    auto &c = ctx_[idx];
+    if (--c.partsLeft > 0)
+        return;
+    const Request r = c.serving;
+    const sim::Tick t0 = c.serveStart;
+    soc_->mc(idx % soc_->numMcs()).endAccess();
+    if (r.inc != inc_) {
+        // The crash destroyed this request on-core: its abort was
+        // already reported, so only the physical bookkeeping runs.
+        yieldCore(idx);
+        return;
+    }
+    ++completed_;
+    recordLatency(sim_.now() - r.arrival + cfg_.networkLatency);
+    if (trace_)
+        trace_->span(t0, sim_.now() - t0, obs::Name::Serve,
+                     obs::Track::Requests,
+                     r.id == kNoRequestId ? 0 : r.id);
+    if (traceSeg_ && r.id != kNoRequestId) {
+        const sim::Tick serve = sim_.now() - t0 - c.dvfsStall;
+        if (serve > 0)
+            trace_->span(t0, serve, obs::Name::SegServe,
+                         obs::Track::Segments, r.id);
+        if (c.dvfsStall > 0)
+            trace_->span(t0 + serve, c.dvfsStall,
+                         obs::Name::SegStallDvfs, obs::Track::Segments,
+                         r.id);
+    }
+    if (nic_) {
+        // Response TX through the NIC: the request completes (and
+        // the fleet's response enters the fabric) when the packet
+        // has left the device, not when the core finished.
+        const std::uint64_t rid = r.id;
+        const std::uint32_t rinc = r.inc;
+        const sim::Tick serve_end = sim_.now();
+        nic_->txSend([this, rid, rinc, serve_end] {
+            if (rid == kNoRequestId)
+                return;
+            if (rinc != inc_)
+                return; // crashed while the response was in TX
+            if (traceSeg_ && sim_.now() > serve_end)
+                trace_->span(serve_end, sim_.now() - serve_end,
+                             obs::Name::SegXmitResp,
+                             obs::Track::Segments, rid);
+            completeInjected(rid);
+        });
+    } else {
+        if (r.id != kNoRequestId)
+            completeInjected(r.id);
+        // Response TX (fire-and-forget; keeps the NIC link busy).
+        soc_->nic().transfer(cfg_.workload.nicTransfer, nullptr);
+    }
+    // TX-completion softirq: IRQ affinity spreads the network
+    // stack's completion work onto another core.
+    scheduleSoftirq(idx);
+    yieldCore(idx);
+}
+
+void
+ServerSim::yieldCore(std::size_t idx)
+{
+    auto &c = ctx_[idx];
+    c.processing = false;
+    if (!c.queue.empty() && !capGated_)
+        pump(idx);
+    else
+        soc_->core(idx).release();
+}
+
+void
+ServerSim::remoteAccess(std::size_t idx)
 {
     // Local UPI lanes stay busy for the round trip; the remote socket's
     // UPI link wake doubles as its package wake (APMU IO-wake path).
-    auto &local_upi = soc_->link(4);
-    local_upi.beginTransaction();
-    auto &remote_upi = remoteSoc_->link(4);
-    remote_upi.transfer(cfg_.numa.upiHop, [this, &local_upi,
-                                           done = std::move(done)] {
-        remoteSoc_->whenFabricReady([this, &local_upi,
-                                     done = std::move(done)] {
+    soc_->link(4).beginTransaction();
+    remoteSoc_->link(4).transfer(cfg_.numa.upiHop, [this, idx] {
+        remoteSoc_->whenFabricReady([this, idx] {
             const auto mc_idx = static_cast<std::size_t>(
                 sim_.rng().uniformInt(0, 1));
             remoteSoc_->mc(mc_idx).access(
-                cfg_.numa.remoteHold,
-                [this, &local_upi, done = std::move(done)] {
+                cfg_.numa.remoteHold, [this, idx] {
                     // Response hop back over UPI.
-                    sim_.after(cfg_.numa.upiHop,
-                               [&local_upi, done = std::move(done)] {
-                        local_upi.endTransaction();
-                        if (done)
-                            done();
+                    sim_.after(cfg_.numa.upiHop, [this, idx] {
+                        soc_->link(4).endTransaction();
+                        finishServe(idx);
                     });
                 });
         });
@@ -466,14 +470,7 @@ ServerSim::runKernelTask(std::size_t idx, sim::Tick work)
         return; // forced idle outranks housekeeping (play_idle)
     ctx.processing = true;
     soc_->core(idx).requestWake([this, idx, work] {
-        sim_.after(work, [this, idx] {
-            auto &c = ctx_[idx];
-            c.processing = false;
-            if (!c.queue.empty() && !capGated_)
-                pump(idx);
-            else
-                soc_->core(idx).release();
-        });
+        sim_.after(work, [this, idx] { yieldCore(idx); });
     });
 }
 

@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -238,33 +237,14 @@ class ServerSim
     static constexpr std::uint64_t kNoRequestId = UINT64_MAX;
 
     /**
-     * Called when an injected request completes, with the request id
-     * passed to inject() and the completion time on this server's
-     * clock. Runs inside this server's event loop: when a fleet
-     * advances servers on worker threads, the hook must only touch
-     * state owned by this server (e.g. its shard's staging slot).
-     * Inline small-buffer callable: the hook fires once per completed
-     * request across the whole fleet, so it must not cost a heap
-     * allocation to install or an std::function dispatch to call.
+     * Per-request hook: an injected request's id and the instant on
+     * this server's clock (see onCompletion/onRxDrop/onAbort). Runs
+     * inside this server's event loop: when a fleet advances servers on
+     * worker threads, the hook must only touch state owned by this
+     * server (e.g. its shard's staging slot). It fires once per request
+     * across the whole fleet, so it is stored inline.
      */
-    using CompletionFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick done), 32>;
-
-    /**
-     * Called when the NIC RX ring tail-drops an injected request (NIC
-     * mode only); same threading rules as CompletionFn. The fleet uses
-     * it to drive client retransmission.
-     */
-    using RxDropFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
-
-    /**
-     * Called when a fault destroys an injected request: a crash tears
-     * down everything in flight, and a non-Up server refuses admission
-     * on arrival. Same threading rules as CompletionFn — the fleet uses
-     * it to count the loss and fail the request over.
-     */
-    using AbortFn =
+    using RequestHook =
         sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
 
     explicit ServerSim(ServerConfig cfg);
@@ -304,14 +284,18 @@ class ServerSim
      */
     void inject(std::uint64_t id, sim::Tick service);
 
-    /** Set the completion hook for injected requests. */
-    void onCompletion(CompletionFn fn) { completionFn_ = std::move(fn); }
+    /** Set the hook for injected requests that complete. */
+    void onCompletion(RequestHook fn) { completionFn_ = std::move(fn); }
 
-    /** Set the RX-ring drop hook for injected requests (NIC mode). */
-    void onRxDrop(RxDropFn fn) { rxDropFn_ = std::move(fn); }
+    /** Set the hook for injected requests the NIC RX ring tail-drops
+     *  (NIC mode only); the fleet drives client retransmission. */
+    void onRxDrop(RequestHook fn) { rxDropFn_ = std::move(fn); }
 
-    /** Set the fault-abort hook for injected requests. */
-    void onAbort(AbortFn fn) { abortFn_ = std::move(fn); }
+    /** Set the hook for injected requests a fault destroys: a crash
+     *  tears down everything in flight, and a non-Up server refuses
+     *  admission on arrival. The fleet counts the loss and fails the
+     *  request over. */
+    void onAbort(RequestHook fn) { abortFn_ = std::move(fn); }
 
     // --- fault injection (scheduled from the fleet's route stage) ---
 
@@ -433,6 +417,11 @@ class ServerSim
     {
         std::deque<Request> queue;
         bool processing = false;
+        // The request on the core while processing (see serveFront):
+        Request serving{};
+        sim::Tick serveStart = 0;
+        sim::Tick dvfsStall = 0; ///< cap-induced share of the serve time
+        int partsLeft = 0;       ///< serve-join parts still outstanding
         // DVFS bookkeeping:
         std::size_t pstate = 0;      ///< index into the P-state table
         double slowdown = 1.0;       ///< service-time dilation
@@ -453,13 +442,20 @@ class ServerSim
     void assign(const Request &r);
     void pump(std::size_t idx);
     void serveFront(std::size_t idx, bool was_active);
+    /** Core @p idx finished a work item: serve the next queued
+     *  request, or let the core go idle. */
+    void yieldCore(std::size_t idx);
     /** TX-completion softirq on a core other than @p origin. */
     void scheduleSoftirq(std::size_t origin);
     /** Short kernel-context work (softirq, timer tick) on core @p idx. */
     void runKernelTask(std::size_t idx, sim::Tick work);
     void scheduleTimerTick();
-    /** Issue a remote memory access chain; @p done when it completes. */
-    void remoteAccess(std::function<void()> done);
+    /** One part of core @p idx's serve join arrived; the last one
+     *  completes the request and frees the core. */
+    void finishServe(std::size_t idx);
+    /** Issue core @p idx's remote memory access chain; its return is
+     *  one part of that core's serve join. */
+    void remoteAccess(std::size_t idx);
     /** Periodic ondemand governor evaluation (when DVFS is enabled). */
     void scheduleDvfsSample();
     void recordLatency(sim::Tick end_to_end);
@@ -498,8 +494,8 @@ class ServerSim
     std::uint64_t requests_ = 0;
     std::uint64_t accepted_ = 0;
     std::uint64_t completed_ = 0;
-    CompletionFn completionFn_;
-    RxDropFn rxDropFn_;
+    RequestHook completionFn_;
+    RequestHook rxDropFn_;
     // Fault-injection state. All of it is inert (zero-footprint) until
     // a fault is actually scheduled: state_ stays Up, inc_ stays 0, and
     // crashAt_'s sentinel predates every enqueue.
@@ -510,7 +506,7 @@ class ServerSim
     /** Injected ids currently alive inside the server (ring, queue,
      *  core, TX) — the set a crash must report as destroyed. */
     std::vector<std::uint64_t> liveIds_;
-    AbortFn abortFn_;
+    RequestHook abortFn_;
     stats::Summary nicWakeUs_;
     double nicEnergy0_ = 0.0; ///< Network-plane energy at measurement start
     // RAPL counters latched at beginMeasurement().

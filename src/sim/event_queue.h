@@ -14,7 +14,7 @@
  *
  *  - **Slab-pooled event records.** Callbacks live in a pooled
  *    `EventRecord` with an inline small-buffer callable
- *    (`InplaceFunction`), so scheduling performs no `std::function` or
+ *    (`InplaceFunction`), so scheduling performs no callable or
  *    `shared_ptr` heap allocation. Slots are recycled through a free
  *    list; `EventHandle`s carry a generation counter and go stale (not
  *    dangling) when their slot is reused.

@@ -2,15 +2,14 @@
  * @file
  * Small-buffer type-erased callable for the simulation hot path.
  *
- * `InplaceFunction<R(Args...), Capacity>` is a drop-in replacement for
- * `std::function` on paths where per-call heap allocation matters: the
- * callable is stored inline when it fits in `Capacity` bytes (the common
- * case for event callbacks — a `this` pointer plus a few captured
- * scalars) and falls back to a single heap allocation otherwise. Unlike
- * `std::function`, there is no RTTI and no `target()`.
+ * `InplaceFunction<R(Args...), Capacity>` is the simulator's one
+ * callable type. The callable is stored inline when it fits in
+ * `Capacity` bytes (the common case for event callbacks — a `this`
+ * pointer plus a few captured scalars) and falls back to a single heap
+ * allocation otherwise. There is no RTTI and no `target()`.
  *
- * Copy semantics match `std::function`: the stored callable must be
- * copy-constructible (every lambda capturing copyable state qualifies).
+ * Copies copy the callable, which must be copy-constructible (every
+ * lambda capturing copyable state qualifies).
  * Invoking an empty function asserts in debug builds; in release
  * builds it is a no-op for void-returning signatures and undefined for
  * value-returning ones.
@@ -107,6 +106,18 @@ class InplaceFunction<R(Args...), Capacity>
 
     explicit operator bool() const { return ops_ != nullptr; }
 
+    /** True when a callable of type @p F is stored without a heap
+     *  allocation. */
+    template <typename F>
+    static constexpr bool
+    storesInline()
+    {
+        using Fn = std::decay_t<F>;
+        return sizeof(Fn) <= Capacity &&
+            alignof(Fn) <= alignof(std::max_align_t) &&
+            std::is_nothrow_move_constructible_v<Fn>;
+    }
+
     R
     operator()(Args... args) const
     {
@@ -134,15 +145,6 @@ class InplaceFunction<R(Args...), Capacity>
         bool trivialDestroy;
     };
 
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(Fn) <= Capacity &&
-            alignof(Fn) <= alignof(std::max_align_t) &&
-            std::is_nothrow_move_constructible_v<Fn>;
-    }
-
     void
     reset()
     {
@@ -158,7 +160,7 @@ class InplaceFunction<R(Args...), Capacity>
     construct(F &&f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
+        if constexpr (storesInline<Fn>()) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
             ops_ = &inlineOps<Fn>;
         } else {

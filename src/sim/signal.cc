@@ -48,7 +48,7 @@ void
 Signal::write(bool v)
 {
     // Any direct write supersedes in-flight delayed writes.
-    ++writeGen_;
+    writes_.restart();
     applyEdge(v);
 }
 
@@ -59,12 +59,8 @@ Signal::writeAfter(Tick delay, bool v)
         write(v);
         return;
     }
-    const std::uint64_t gen = ++writeGen_;
-    sim_.after(delay, [this, gen, v] {
-        // Only apply if no newer write superseded this one.
-        if (writeGen_ == gen)
-            applyEdge(v);
-    });
+    writes_.restart();
+    sim_.after(delay, writes_.guard([this, v] { applyEdge(v); }));
 }
 
 std::uint64_t

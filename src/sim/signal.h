@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/inline_function.h"
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -89,10 +89,7 @@ class Signal
      *
      * "Immediately" includes the edge currently being dispatched: an
      * observer unsubscribed by a peer observer that runs earlier in the
-     * same dispatch does NOT receive the in-flight edge. (The pre-pool
-     * copy-based dispatch still delivered that edge; no in-tree
-     * component unsubscribes a peer mid-dispatch — pll_farm's
-     * self-unsubscribe is unaffected either way.)
+     * same dispatch does NOT receive the in-flight edge.
      */
     void unsubscribe(std::uint64_t id);
 
@@ -115,7 +112,7 @@ class Signal
     std::string name_;
     bool value_;
     std::uint64_t nextSub_ = 1;
-    std::uint64_t writeGen_ = 0;
+    Flow writes_; ///< a newer write supersedes any still in flight
     std::uint64_t rising_ = 0;
     std::uint64_t falling_ = 0;
     std::vector<Sub> subs_;

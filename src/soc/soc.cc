@@ -118,13 +118,13 @@ Soc::fabricReady() const
 }
 
 void
-Soc::whenFabricReady(std::function<void()> fn)
+Soc::whenFabricReady(sim::Callback fn)
 {
     if (fabricReady()) {
         fn();
         return;
     }
-    fabricWaiters_.push_back(std::move(fn));
+    fabricWaiters_.add(std::move(fn));
 }
 
 void
@@ -132,10 +132,7 @@ Soc::drainFabricWaiters()
 {
     if (fabricWaiters_.empty() || !fabricReady())
         return;
-    auto waiters = std::move(fabricWaiters_);
-    fabricWaiters_.clear();
-    for (auto &w : waiters)
-        w();
+    fabricWaiters_.drain();
 }
 
 void

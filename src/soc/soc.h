@@ -14,7 +14,6 @@
 #ifndef APC_SOC_SOC_H
 #define APC_SOC_SOC_H
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -86,7 +85,7 @@ class Soc
     bool fabricReady() const;
 
     /** Run @p fn as soon as the fabric is (or becomes) open. */
-    void whenFabricReady(std::function<void()> fn);
+    void whenFabricReady(sim::Callback fn);
 
     // --- package accounting ---
     /** Current package-level state. */
@@ -144,7 +143,7 @@ class Soc
     sim::Tick idleStart_ = 0;
     sim::Tick fullIdleTime_ = 0;
     sim::Tick socWatchIdleTime_ = 0;
-    std::vector<std::function<void()>> fabricWaiters_;
+    sim::WaitList<> fabricWaiters_;
 };
 
 /** Build a governor instance per the configuration. */

@@ -77,24 +77,6 @@ Gpmu::triggerWake()
     }
 }
 
-template <typename Range, typename Op>
-void
-Gpmu::forAll(Range &range, Op op, std::function<void()> done)
-{
-    auto pending = std::make_shared<int>(static_cast<int>(range.size()));
-    auto cb = std::make_shared<std::function<void()>>(std::move(done));
-    if (*pending == 0) {
-        (*cb)();
-        return;
-    }
-    for (auto *item : range) {
-        op(item, [pending, cb] {
-            if (--*pending == 0)
-                (*cb)();
-        });
-    }
-}
-
 void
 Gpmu::startEntry()
 {
@@ -103,89 +85,44 @@ Gpmu::startEntry()
     wakePending_ = false;
     doneIoL1_ = doneDramSr_ = doneClkPll_ = doneVRet_ = false;
     setState(State::EnteringPc6); // the transient PC2 window
-    const auto gen = ++flowGen_;
-    sim_.after(cfg_.ioL1Msg, [this, gen] {
-        if (flowGen_ != gen)
-            return;
-        entryIoL1();
-    });
+    flow_.restart();
+    sim_.after(cfg_.ioL1Msg, entryStep(&Gpmu::entryIoL1));
 }
 
 void
 Gpmu::entryIoL1()
 {
-    if (wakePending_) {
-        startExit();
-        return;
-    }
-    const auto gen = flowGen_;
-    forAll(links_,
-           [](io::IoLink *l, std::function<void()> done) {
-               l->enterL1(std::move(done));
-           },
-           [this, gen] {
-               if (flowGen_ != gen)
-                   return;
+    forAll(links_, &io::IoLink::enterL1,
+           flow_.guard([this] {
                doneIoL1_ = true;
-               sim_.after(cfg_.dramSrMsg, [this, gen] {
-                   if (flowGen_ != gen)
-                       return;
-                   entryDramSr();
-               });
-           });
+               sim_.after(cfg_.dramSrMsg, entryStep(&Gpmu::entryDramSr));
+           }));
 }
 
 void
 Gpmu::entryDramSr()
 {
-    if (wakePending_) {
-        startExit();
-        return;
-    }
-    const auto gen = flowGen_;
-    forAll(mcs_,
-           [](dram::MemoryController *m, std::function<void()> done) {
-               m->enterSelfRefresh(std::move(done));
-           },
-           [this, gen] {
-               if (flowGen_ != gen)
-                   return;
+    forAll(mcs_, &dram::MemoryController::enterSelfRefresh,
+           flow_.guard([this] {
                doneDramSr_ = true;
-               sim_.after(cfg_.clkPllMsg, [this, gen] {
-                   if (flowGen_ != gen)
-                       return;
-                   entryClkPll();
-               });
-           });
+               sim_.after(cfg_.clkPllMsg, entryStep(&Gpmu::entryClkPll));
+           }));
 }
 
 void
 Gpmu::entryClkPll()
 {
-    if (wakePending_) {
-        startExit();
-        return;
-    }
     if (clm_)
         clm_->gateClocks();
     if (plls_)
         plls_->powerOffAll();
     doneClkPll_ = true;
-    const auto gen = flowGen_;
-    sim_.after(cfg_.vRetMsg, [this, gen] {
-        if (flowGen_ != gen)
-            return;
-        entryVRet();
-    });
+    sim_.after(cfg_.vRetMsg, entryStep(&Gpmu::entryVRet));
 }
 
 void
 Gpmu::entryVRet()
 {
-    if (wakePending_) {
-        startExit();
-        return;
-    }
     if (clm_)
         clm_->setRetention(true);
     doneVRet_ = true;
@@ -206,7 +143,7 @@ void
 Gpmu::startExit()
 {
     assert(state_ == State::EnteringPc6 || state_ == State::Pc6);
-    ++flowGen_; // invalidate any in-flight entry steps
+    flow_.restart(); // invalidate any in-flight entry steps
     wakePending_ = false;
     flowStart_ = sim_.now();
     setState(State::ExitingPc6);
@@ -216,46 +153,35 @@ Gpmu::startExit()
 void
 Gpmu::exitVNom()
 {
-    const auto gen = flowGen_;
     if (!doneVRet_ || !clm_) {
         exitPllUngate();
         return;
     }
-    sim_.after(cfg_.vNomMsg, [this, gen] {
-        if (flowGen_ != gen)
-            return;
+    sim_.after(cfg_.vNomMsg, flow_.guard([this] {
         clm_->setRetention(false);
         // Wait for the rails to settle (PwrOk) before touching clocks.
-        const sim::Tick settle = clm_->settleTimeRemaining();
-        sim_.after(settle, [this, gen] {
-            if (flowGen_ != gen)
-                return;
+        sim_.after(clm_->settleTimeRemaining(), flow_.guard([this] {
             doneVRet_ = false;
             exitPllUngate();
-        });
-    });
+        }));
+    }));
 }
 
 void
 Gpmu::exitPllUngate()
 {
-    const auto gen = flowGen_;
     if (!doneClkPll_) {
         exitDramSr();
         return;
     }
-    auto ungate = [this, gen] {
-        if (flowGen_ != gen)
-            return;
-        sim_.after(cfg_.ungateMsg, [this, gen] {
-            if (flowGen_ != gen)
-                return;
+    auto ungate = flow_.guard([this] {
+        sim_.after(cfg_.ungateMsg, flow_.guard([this] {
             if (clm_)
                 clm_->ungateClocks();
             doneClkPll_ = false;
             exitDramSr();
-        });
-    };
+        }));
+    });
     if (plls_)
         plls_->powerOnAll(std::move(ungate));
     else
@@ -265,49 +191,33 @@ Gpmu::exitPllUngate()
 void
 Gpmu::exitDramSr()
 {
-    const auto gen = flowGen_;
     if (!doneDramSr_) {
         exitIoL1();
         return;
     }
-    sim_.after(cfg_.dramExitMsg, [this, gen] {
-        if (flowGen_ != gen)
-            return;
-        forAll(mcs_,
-               [](dram::MemoryController *m, std::function<void()> done) {
-                   m->exitSelfRefresh(std::move(done));
-               },
-               [this, gen] {
-                   if (flowGen_ != gen)
-                       return;
+    sim_.after(cfg_.dramExitMsg, flow_.guard([this] {
+        forAll(mcs_, &dram::MemoryController::exitSelfRefresh,
+               flow_.guard([this] {
                    doneDramSr_ = false;
                    exitIoL1();
-               });
-    });
+               }));
+    }));
 }
 
 void
 Gpmu::exitIoL1()
 {
-    const auto gen = flowGen_;
     if (!doneIoL1_) {
         finishExit();
         return;
     }
-    sim_.after(cfg_.ioExitMsg, [this, gen] {
-        if (flowGen_ != gen)
-            return;
-        forAll(links_,
-               [](io::IoLink *l, std::function<void()> done) {
-                   l->exitL1(std::move(done));
-               },
-               [this, gen] {
-                   if (flowGen_ != gen)
-                       return;
+    sim_.after(cfg_.ioExitMsg, flow_.guard([this] {
+        forAll(links_, &io::IoLink::exitL1,
+               flow_.guard([this] {
                    doneIoL1_ = false;
                    finishExit();
-               });
-    });
+               }));
+    }));
 }
 
 void

@@ -20,13 +20,13 @@
 #define APC_UNCORE_GPMU_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "cpu/core.h"
 #include "dram/memory_controller.h"
 #include "io/io_link.h"
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
@@ -66,6 +66,8 @@ class Gpmu
     };
     static constexpr std::size_t kNumStates = 4;
 
+    using StateObserver = sim::InplaceFunction<void(State), 32>;
+
     Gpmu(sim::Simulation &sim, const GpmuConfig &cfg,
          std::vector<cpu::Core *> cores, std::vector<io::IoLink *> links,
          std::vector<dram::MemoryController *> mcs, Clm *clm,
@@ -81,7 +83,7 @@ class Gpmu
 
     /** Register a state-change observer (Soc residency tracking). */
     void
-    onStateChange(std::function<void(State)> fn)
+    onStateChange(StateObserver fn)
     {
         observers_.push_back(std::move(fn));
     }
@@ -99,7 +101,7 @@ class Gpmu
     /** All cores reached CC6: start the demotion timer. */
     void onAllCc6(bool level);
     void startEntry();
-    /** Entry steps, chained; each checks for an abort at its boundary. */
+    /** Entry steps, chained through entryStep(). */
     void entryIoL1();
     void entryDramSr();
     void entryClkPll();
@@ -112,9 +114,29 @@ class Gpmu
     void exitDramSr();
     void exitIoL1();
     void finishExit();
-    /** Run all links/MCs through an op, @p done when all complete. */
-    template <typename Range, typename Op>
-    void forAll(Range &range, Op op, std::function<void()> done);
+    /** Schedule-able entry step: a wake that arrived since the last
+     *  step turns it into the exit flow (the abort boundary). */
+    auto
+    entryStep(void (Gpmu::*step)())
+    {
+        return flow_.guard([this, step] {
+            if (wakePending_)
+                startExit();
+            else
+                (this->*step)();
+        });
+    }
+    /** Run every link/MC through @p op; @p done once all complete. */
+    template <typename T>
+    void
+    forAll(const std::vector<T *> &items, void (T::*op)(sim::Callback),
+           sim::Callback done)
+    {
+        const auto id =
+            joins_.start(static_cast<int>(items.size()), std::move(done));
+        for (T *item : items)
+            (item->*op)(joins_.part(id));
+    }
 
     sim::Simulation &sim_;
     GpmuConfig cfg_;
@@ -127,7 +149,7 @@ class Gpmu
     sim::Signal wakeUp_;
     std::unique_ptr<sim::AndTree> allCc6_;
     sim::EventHandle demotionEvent_;
-    std::uint64_t flowGen_ = 0; ///< invalidates stale flow steps
+    sim::Flow flow_; ///< the entry/exit flow in progress
     bool wakePending_ = false;
     // Which entry steps completed (for unwinding):
     bool doneIoL1_ = false;
@@ -138,7 +160,8 @@ class Gpmu
     std::uint64_t pc6Entries_ = 0;
     stats::Summary entryLatencyUs_;
     stats::Summary exitLatencyUs_;
-    std::vector<std::function<void(State)>> observers_;
+    sim::Joins joins_;
+    std::vector<StateObserver> observers_;
 };
 
 } // namespace apc::uncore

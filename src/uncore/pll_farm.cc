@@ -6,7 +6,6 @@ namespace apc::uncore {
 
 PllFarm::PllFarm(sim::Simulation &sim, power::EnergyMeter &meter,
                  const power::PllConfig &cfg)
-    : sim_(sim)
 {
     const char *names[] = {"pll.pcie0", "pll.pcie1", "pll.pcie2",
                            "pll.dmi", "pll.upi0", "pll.upi1",
@@ -24,29 +23,13 @@ PllFarm::powerOffAll()
 }
 
 void
-PllFarm::powerOnAll(std::function<void()> done)
+PllFarm::powerOnAll(sim::Callback done)
 {
     // All PLLs relock in parallel; completion is bounded by the slowest.
-    auto pending = std::make_shared<int>(0);
-    auto cb = std::make_shared<std::function<void()>>(std::move(done));
-    for (auto &p : plls_) {
-        if (p->state() == power::Pll::State::Locked)
-            continue;
-        ++*pending;
-        const auto id = std::make_shared<std::uint64_t>(0);
-        power::Pll *pll = p.get();
-        *id = pll->locked().subscribe(
-            [pending, cb, pll, id](bool locked) {
-                if (!locked)
-                    return;
-                pll->locked().unsubscribe(*id);
-                if (--*pending == 0 && *cb)
-                    (*cb)();
-            });
-        pll->powerOn();
-    }
-    if (*pending == 0 && *cb)
-        (*cb)();
+    const auto id =
+        joins_.start(static_cast<int>(plls_.size()), std::move(done));
+    for (auto &p : plls_)
+        p->powerOn(joins_.part(id));
 }
 
 bool

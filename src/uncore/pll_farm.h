@@ -12,7 +12,6 @@
 #ifndef APC_UNCORE_PLL_FARM_H
 #define APC_UNCORE_PLL_FARM_H
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,7 +37,7 @@ class PllFarm
      * Power all PLLs on; @p done fires when every PLL reports locked
      * (i.e. after the relock latency when they were off).
      */
-    void powerOnAll(std::function<void()> done);
+    void powerOnAll(sim::Callback done);
 
     /** True when every PLL is locked. */
     bool allLocked() const;
@@ -50,8 +49,8 @@ class PllFarm
     double totalPowerWatts() const;
 
   private:
-    sim::Simulation &sim_;
     std::vector<std::unique_ptr<power::Pll>> plls_;
+    sim::Joins joins_;
 };
 
 } // namespace apc::uncore

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel (sim/event_queue.h,
- * sim/simulation.h, sim/time.h).
+ * sim/simulation.h, sim/time.h) and the component callback mechanism
+ * (sim/callback.h).
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/callback.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
 
@@ -528,6 +530,138 @@ TEST(Rng, UniformIntInclusiveBounds)
     }
     EXPECT_TRUE(saw_lo);
     EXPECT_TRUE(saw_hi);
+}
+
+// ------------------------------------------------ callback mechanism
+
+TEST(WaitList, DrainRunsEntriesInFifoOrder)
+{
+    WaitList<> list;
+    std::vector<int> order;
+    for (int i = 0; i < 5; ++i)
+        list.add([&order, i] { order.push_back(i); });
+    EXPECT_FALSE(list.empty());
+    list.drain();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(list.empty());
+    list.drain(); // nothing left: a no-op
+    EXPECT_EQ(order.size(), 5u);
+}
+
+TEST(WaitList, EntryAddedDuringDrainRunsOnTheNextDrain)
+{
+    WaitList<> list;
+    std::vector<int> order;
+    list.add([&] {
+        order.push_back(1);
+        list.add([&] { order.push_back(3); });
+    });
+    list.add([&] { order.push_back(2); });
+    list.drain();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    ASSERT_FALSE(list.empty());
+    list.drain();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(WaitList, ReentrantDrainRunsWhatWasAddedBeforeIt)
+{
+    // The idiom it replaces: move the list out, then call each entry.
+    // A drain re-entered from an entry runs the entries added so far
+    // in the outer drain; the outer drain then finishes its own batch,
+    // and anything added after the inner drain waits for the next one.
+    WaitList<> list;
+    std::vector<char> order;
+    list.add([&] {
+        order.push_back('a');
+        list.add([&] { order.push_back('c'); });
+        list.drain();
+        list.add([&] { order.push_back('e'); });
+    });
+    list.add([&] { order.push_back('b'); });
+    list.drain();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'c', 'b'}));
+    list.drain();
+    EXPECT_EQ(order, (std::vector<char>{'a', 'c', 'b', 'e'}));
+    EXPECT_TRUE(list.empty());
+}
+
+TEST(WaitList, KeepsItsCapacityAcrossWakeCycles)
+{
+    WaitList<> list;
+    int runs = 0;
+    for (int cycle = 0; cycle < 4; ++cycle) {
+        for (int i = 0; i < 16; ++i)
+            list.add([&runs] { ++runs; });
+        list.drain();
+        // From the second cycle on, both buffers hold 16 entries, so
+        // the next cycle's adds do not allocate.
+        if (cycle >= 1) {
+            EXPECT_GE(list.capacity(), 16u) << "cycle " << cycle;
+        }
+    }
+    EXPECT_EQ(runs, 64);
+}
+
+TEST(Joins, ZeroPartsFiresOnceRightAway)
+{
+    Joins joins;
+    int fired = 0;
+    joins.start(0, [&] { ++fired; });
+    EXPECT_EQ(fired, 1);
+}
+
+TEST(Joins, NPartsFireOnceOnTheLastArrival)
+{
+    Joins joins;
+    int fired = 0;
+    const auto id = joins.start(3, [&] { ++fired; });
+    Callback a = joins.part(id);
+    a();
+    joins.arrive(id);
+    EXPECT_EQ(fired, 0);
+    joins.part(id)();
+    EXPECT_EQ(fired, 1);
+    // The slot is recycled for the next join without a stale count.
+    const auto again = joins.start(1, [&] { fired += 10; });
+    joins.arrive(again);
+    EXPECT_EQ(fired, 11);
+}
+
+TEST(Joins, AbortedFlowsLatePartDoesNotCompleteANewerJoin)
+{
+    Joins joins;
+    Flow flow;
+    int old_done = 0, new_done = 0;
+    // A flow starts a two-part join and one part arrives; then the
+    // flow is aborted (restarted) and the new flow starts its own join.
+    const auto old_id = joins.start(2, flow.guard([&] { ++old_done; }));
+    joins.arrive(old_id);
+    flow.restart();
+    const auto new_id = joins.start(2, flow.guard([&] { ++new_done; }));
+    joins.arrive(new_id);
+    // The aborted flow's late part completes only its own join, whose
+    // callback is a no-op now.
+    joins.arrive(old_id);
+    EXPECT_EQ(old_done, 0);
+    EXPECT_EQ(new_done, 0);
+    joins.arrive(new_id);
+    EXPECT_EQ(new_done, 1);
+}
+
+TEST(Callback, NestsInsideAnEventWithoutAHeapFallback)
+{
+    Simulation s;
+    int fired = 0;
+    Callback cb = [&fired] { ++fired; };
+    auto event = [self = &s, cb = std::move(cb)] {
+        (void)self;
+        cb();
+    };
+    static_assert(EventFn::storesInline<decltype(event)>());
+    s.after(1, std::move(event));
+    s.runUntil(10);
+    EXPECT_EQ(fired, 1);
 }
 
 } // namespace

@@ -375,6 +375,40 @@ TEST(FleetChurn, WithoutRecoveryCrashLossIsCountedNotVanished)
     EXPECT_EQ(rep.health.auditViolations, 0u);
 }
 
+TEST(FleetChurn, RestartedServerRejoinsTheBudgetWithinBothLaws)
+{
+    // A rack budget with one scripted crash that spans a budget epoch:
+    // the allocator zeroes the dead server, and the restarted server
+    // must rejoin with a limit that meets the floor and keeps the rack
+    // sum within budget + n * deadband, with the auditor watching.
+    fleet::FleetConfig fc;
+    fc.numServers = 8;
+    fc.policy = soc::PackagePolicy::Cpc1a;
+    fc.workload = workload::WorkloadConfig::memcachedEtc(0);
+    fc.traffic.arrivalKind = workload::ArrivalKind::Poisson;
+    fc.traffic.qps = fc.workload.qpsForUtilization(
+        0.30, static_cast<int>(fc.numServers) * 10);
+    fc.sloUs = 10000.0;
+    fc.warmup = 10 * kMs;
+    fc.duration = 50 * kMs;
+    fc.seed = 21;
+    fc.budget.enabled = true;
+    fc.budget.oversubscription = 1.25;
+    fc.faults.enabled = true;
+    fc.faults.scripted = {
+        {22 * kMs, 14 * kMs, fault::FaultKind::ServerCrash, 3}};
+    fc.recovery.enabled = true;
+    fc.health.enabled = true;
+
+    fleet::FleetSim fleet(fc);
+    const fleet::FleetReport rep = fleet.run();
+    ASSERT_TRUE(rep.health.enabled);
+    EXPECT_GT(rep.health.audits, 50u);
+    EXPECT_EQ(rep.health.auditViolations, 0u);
+    EXPECT_GE(fleet.server(3).powerLimitW() + fc.budgetDeadbandW,
+              fc.budget.minServerW);
+}
+
 TEST(FleetChurn, ReportAndAlertLogBytesAreLayoutInvariant)
 {
     struct Point

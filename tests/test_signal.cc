@@ -124,7 +124,7 @@ TEST(Signal, SelfUnsubscribeDuringDispatch)
     std::uint64_t id = 0;
     id = w.subscribe([&](bool) {
         ++calls;
-        w.unsubscribe(id); // pll_farm's one-shot pattern
+        w.unsubscribe(id); // one-shot observer
     });
     int other = 0;
     w.subscribe([&](bool) { ++other; });

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "power/energy_meter.h"
 #include "uncore/clm.h"
 #include "uncore/pll_farm.h"
@@ -169,6 +171,29 @@ TEST(PllFarm, PowerOnAllWaitsForSlowestRelock)
     s.runAll();
     EXPECT_EQ(done_at, 1 * kUs + 5 * kUs);
     EXPECT_TRUE(farm.allLocked());
+}
+
+TEST(PllFarm, OverlappingPowerOnAllCallsEachComplete)
+{
+    // Each call keeps its own join: a second call while the PLLs are
+    // still relocking completes at the same lock, after the first.
+    sim::Simulation s;
+    power::EnergyMeter m(s);
+    power::PllConfig cfg;
+    cfg.relockLatency = 5 * kUs;
+    PllFarm farm(s, m, cfg);
+    farm.powerOffAll();
+    farm.pll(3).powerOn(); // one PLL already relocking
+    s.runUntil(1 * kUs);
+    std::vector<int> order;
+    farm.powerOnAll([&] { order.push_back(1); });
+    s.runUntil(2 * kUs);
+    farm.powerOnAll([&] { order.push_back(2); });
+    s.runUntil(6 * kUs - 1);
+    EXPECT_TRUE(order.empty());
+    s.runAll();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(s.now(), 6 * kUs);
 }
 
 TEST(PllFarm, PowerOnAllWhenLockedIsImmediate)

@@ -469,6 +469,15 @@ class Linter:
          "stateful engine; use substreamU01/substreamExp instead"),
     ]
 
+    STD_FUNCTION_PATTERNS = [
+        (re.compile(r"\bstd\s*::\s*function\b"),
+         "std::function — the simulator's one callable type is "
+         "sim::InplaceFunction; take a sim::Callback (sim/callback.h)"),
+        (re.compile(r"#\s*include\s*<functional>"),
+         "<functional> include — it brings std::function back; use "
+         "sim/callback.h"),
+    ]
+
     # ---- driver ----------------------------------------------------------
 
     def lint_file(self, path: Path):
@@ -491,6 +500,9 @@ class Linter:
         if self.rule_applies("fault-rng", path):
             self.check_regex_rule(scan, "fault-rng",
                                   self.FAULT_RNG_PATTERNS)
+        if self.rule_applies("std-function", path):
+            self.check_regex_rule(scan, "std-function",
+                                  self.STD_FUNCTION_PATTERNS)
 
     def check_stale_allows(self):
         """An allow that waives nothing is dead weight — flag it so the
