@@ -30,6 +30,7 @@
 #include "analysis/table_printer.h"
 #include "bench_common.h"
 #include "fleet/fleet_sim.h"
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/time.h"
 
@@ -161,23 +162,53 @@ runTimerChurn(Queue &q, std::uint64_t events)
 
 /**
  * Workload 2 — cancel/reschedule: every "request" re-arms a hysteresis
- * timer that is almost always cancelled before it fires (the rx-usecs /
- * per-request idle-timer pattern that used to leave one tombstone per
- * request in the heap).
+ * timer that is almost always abandoned before it fires (the rx-usecs /
+ * per-request idle-timer pattern). The pooled queue abandons it the way
+ * the simulator does, by restarting the timer's `sim::Flow`, so the
+ * stale event fires later as a no-op; the legacy queue cancels its
+ * handle. Both sides count the same work: requests plus timers whose
+ * body really ran, never a stale no-op.
  */
-template <typename Queue, typename Handle>
+struct FlowTimer
+{
+    sim::Flow flow;
+
+    template <typename F>
+    void
+    rearm(sim::EventQueue &q, sim::Tick delay, F fn)
+    {
+        flow.restart();
+        q.scheduleAfter(delay, flow.guard(fn));
+    }
+};
+
+struct HandleTimer
+{
+    LegacyEventQueue::Handle handle;
+
+    template <typename F>
+    void
+    rearm(LegacyEventQueue &q, sim::Tick delay, F fn)
+    {
+        if (handle)
+            handle->cancelled = true;
+        handle = q.scheduleAfter(delay, fn);
+    }
+};
+
+template <typename Queue, typename Timer>
 struct CancelChurnState
 {
     Queue *q;
-    Handle timer{};
     std::uint64_t remaining;
-    std::uint64_t ops = 0;
+    Timer timer{};
+    std::uint64_t work = 0;
 };
 
-template <typename Queue, typename Handle>
+template <typename Queue, typename Timer>
 struct CancelChurnRequest
 {
-    CancelChurnState<Queue, Handle> *s;
+    CancelChurnState<Queue, Timer> *s;
 
     void
     operator()() const
@@ -185,27 +216,22 @@ struct CancelChurnRequest
         if (s->remaining == 0)
             return;
         --s->remaining;
-        ++s->ops;
-        if constexpr (std::is_same_v<Handle, sim::EventHandle>) {
-            s->timer.cancel();
-        } else {
-            if (s->timer)
-                s->timer->cancelled = true;
-        }
-        s->timer = s->q->scheduleAfter(50 * sim::kUs, [] {});
+        ++s->work;
+        auto *state = s;
+        s->timer.rearm(*s->q, 50 * sim::kUs, [state] { ++state->work; });
         s->q->scheduleAfter(300 * sim::kNs, CancelChurnRequest{s});
     }
 };
 
-template <typename Queue, typename Handle>
+template <typename Queue, typename Timer>
 std::uint64_t
 runCancelChurn(Queue &q, std::uint64_t requests)
 {
-    CancelChurnState<Queue, Handle> s{&q, {}, requests};
-    CancelChurnRequest<Queue, Handle>{&s}();
+    CancelChurnState<Queue, Timer> s{&q, requests};
+    CancelChurnRequest<Queue, Timer>{&s}();
     while (q.step()) {
     }
-    return s.ops + q.executedEvents();
+    return s.work;
 }
 
 /**
@@ -386,12 +412,10 @@ main()
     points.push_back(measure(
         "cancel_reschedule", events,
         [](sim::EventQueue &q, std::uint64_t n) {
-            return runCancelChurn<sim::EventQueue, sim::EventHandle>(q,
-                                                                     n);
+            return runCancelChurn<sim::EventQueue, FlowTimer>(q, n);
         },
         [](LegacyEventQueue &q, std::uint64_t n) {
-            return runCancelChurn<LegacyEventQueue,
-                                  LegacyEventQueue::Handle>(q, n);
+            return runCancelChurn<LegacyEventQueue, HandleTimer>(q, n);
         }));
     points.push_back(measure(
         "mixed_horizon", events,

@@ -130,14 +130,14 @@ Apmu::maybeBeginEntry()
         return;
     const sim::Tick since_exit = sim_.now() - lastExit_;
     if (since_exit < cfg_.entryHysteresis) {
-        hysteresisEvent_.cancel();
-        hysteresisEvent_ =
-            sim_.after(cfg_.entryHysteresis - since_exit, [this] {
-                if (state_ == State::Acc1 && allCc1_->output().read() &&
-                    allL0s_->output().read()) {
-                    beginEntry();
-                }
-            });
+        hysteresisEvent_.restart();
+        sim_.after(cfg_.entryHysteresis - since_exit,
+                   hysteresisEvent_.guard([this] {
+            if (state_ == State::Acc1 && allCc1_->output().read() &&
+                allL0s_->output().read()) {
+                beginEntry();
+            }
+        }));
         return;
     }
     beginEntry();

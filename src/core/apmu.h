@@ -152,7 +152,7 @@ class Apmu
     sim::Tick exitStart_ = 0;
     /** Far in the past: the first entry is never rate-limited. */
     sim::Tick lastExit_ = -(sim::kTickNever / 2);
-    sim::EventHandle hysteresisEvent_;
+    sim::Flow hysteresisEvent_;
     std::uint64_t pc1aEntries_ = 0;
     stats::Summary entryLatencyNs_;
     stats::Summary exitLatencyNs_;

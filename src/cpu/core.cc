@@ -91,14 +91,14 @@ Core::armPromotion()
     const sim::Tick after = governor_->promoteAfter(state_, next);
     if (after == sim::kTickNever)
         return;
-    promotionEvent_ = sim_.after(after, [this, next] {
+    sim_.after(after, promotionEvent_.guard([this, next] {
         // Promote: leave the shallow state for a deeper one. Residency
         // counting of the transition stays with the shallow state via
         // Entering (counted as CC0 only for the brief entry window).
         residency_.transitionTo(static_cast<std::size_t>(CState::CC0),
                                 sim_.now());
         beginEntry(next);
-    });
+    }));
 }
 
 void
@@ -132,7 +132,7 @@ Core::beginExit()
 {
     assert(phase_ == Phase::Idle);
     phase_ = Phase::Exiting;
-    promotionEvent_.cancel();
+    promotionEvent_.restart();
     inCc1_.write(false);
     inCc6_.write(false);
     residency_.transitionTo(static_cast<std::size_t>(CState::CC0),

@@ -146,7 +146,7 @@ class Core
     sim::Signal inCc6_;
     power::PowerLoad load_;
     stats::ResidencyCounter<kNumCStates> residency_;
-    sim::EventHandle promotionEvent_;
+    sim::Flow promotionEvent_;
     sim::WaitList<> wakeCallbacks_;
     bool wakePending_ = false;
     sim::Tick idleStart_ = 0;

@@ -20,7 +20,7 @@ MemoryController::MemoryController(sim::Simulation &sim,
         if (allowed) {
             maybePowerDown();
         } else {
-            downEvent_.cancel();
+            downEvent_.restart();
             if (state_ == McState::CkeOff && !transitioning_)
                 beginWake();
         }
@@ -64,14 +64,14 @@ MemoryController::maybePowerDown()
         !allowCkeOff_.read()) {
         return;
     }
-    downEvent_.cancel();
+    downEvent_.restart();
     // "The memory controller enters CKE off mode as soon as it completes
     // all outstanding memory transactions" — entry takes ~10 ns.
-    downEvent_ = sim_.after(cfg_.ckeOffEntry, [this] {
+    sim_.after(cfg_.ckeOffEntry, downEvent_.guard([this] {
         if (transactions_ > 0 || !allowCkeOff_.read())
             return;
         setState(McState::CkeOff);
-    });
+    }));
 }
 
 void
@@ -100,7 +100,7 @@ void
 MemoryController::access(sim::Tick hold_time, sim::Callback on_ready)
 {
     ++transactions_;
-    downEvent_.cancel();
+    downEvent_.restart();
 
     auto serve = [this, hold_time, on_ready = std::move(on_ready)] {
         updatePower();
@@ -128,7 +128,7 @@ void
 MemoryController::beginAccess()
 {
     ++transactions_;
-    downEvent_.cancel();
+    downEvent_.restart();
     if (state_ == McState::Active && !transitioning_)
         updatePower();
     else if (!transitioning_)
@@ -155,7 +155,7 @@ MemoryController::enterSelfRefresh(sim::Callback done)
             done();
         return;
     }
-    downEvent_.cancel();
+    downEvent_.restart();
     transitioning_ = true;
     active_.write(false);
     sim_.after(cfg_.selfRefreshEntry, [this, done = std::move(done)] {

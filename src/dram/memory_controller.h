@@ -144,7 +144,7 @@ class MemoryController
     power::PowerLoad mcLoad_;
     power::PowerLoad dramLoad_;
     stats::ResidencyCounter<kNumMcStates> residency_;
-    sim::EventHandle downEvent_;       ///< pending CKE-off entry
+    sim::Flow downEvent_;              ///< pending CKE-off entry
     /** Entries wrap an access's Callback with its hold time. */
     sim::WaitList<sim::EventFn> waiters_;
     std::uint64_t ckeWakes_ = 0;

@@ -917,17 +917,7 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
             entry = fl.triesBySrv.end() - 1;
         }
         if (entry->second >= cfg_.fabric.maxTries) {
-            --fl.remaining;
-            if (cfg_.recovery.enabled && !fl.fanout && !fl.resolved &&
-                !fl.retryPending && ev.srv == fl.curSrv) {
-                // The current attempt exhausted its NIC resends: fail
-                // over instead of losing the request outright.
-                failAttempt(it, ev.at);
-                return;
-            }
-            if (!fl.resolved)
-                ++fl.lost;
-            finishFlight(it);
+            giveUpReplica(it, ev.srv, ev.at);
             return;
         }
         // Client resend of the tail-dropped replica to the same
@@ -952,17 +942,27 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
                               false);
             scheduleInject(ev.srv, deliver, ev.id, fl.service);
         } else {
-            --fl.remaining;
-            if (cfg_.recovery.enabled && !fl.fanout && !fl.resolved &&
-                !fl.retryPending && ev.srv == fl.curSrv) {
-                failAttempt(it, ev.at);
-                return;
-            }
-            if (!fl.resolved)
-                ++fl.lost;
-            finishFlight(it);
+            giveUpReplica(it, ev.srv, ev.at);
         }
     });
+}
+
+void
+FleetSim::giveUpReplica(FlightMap::iterator it, std::uint32_t srv,
+                        sim::Tick at)
+{
+    Flight &fl = it->second;
+    --fl.remaining;
+    if (cfg_.recovery.enabled && !fl.fanout && !fl.resolved &&
+        !fl.retryPending && srv == fl.curSrv) {
+        // The current attempt is lost to the network: fail over
+        // instead of losing the request outright.
+        failAttempt(it, at);
+        return;
+    }
+    if (!fl.resolved)
+        ++fl.lost;
+    finishFlight(it);
 }
 
 void

@@ -480,6 +480,10 @@ class FleetSim
     void drainCompletions();
     /** Client-side retransmission of NIC ring drops. */
     void drainNicDrops(sim::Tick now_floor);
+    /** A replica's NIC resends ran out or its resend found no path:
+     *  fail over the current attempt, or count the replica lost. */
+    void giveUpReplica(FlightMap::iterator it, std::uint32_t srv,
+                       sim::Tick at);
     /** Merge-phase crash/refusal abort stream: replicas destroyed by
      *  a server crash or refused by a non-Up server. */
     void drainAborts();

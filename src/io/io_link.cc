@@ -58,7 +58,7 @@ IoLink::IoLink(sim::Simulation &sim, power::EnergyMeter &meter,
         if (allowed) {
             updateIdleTimer();
         } else {
-            idleTimer_.cancel();
+            idleTimer_.restart();
             // Return to the active state when standby is disallowed.
             if (state_ == cfg_.shallowState && !exiting_)
                 beginWake();
@@ -88,12 +88,13 @@ IoLink::setState(LState s)
 void
 IoLink::updateIdleTimer()
 {
-    idleTimer_.cancel();
+    idleTimer_.restart();
     if (state_ != LState::L0 || transactions_ > 0 || exiting_ ||
         enteringL1_ || !allowL0s_.read()) {
         return;
     }
-    idleTimer_ = sim_.after(cfg_.entryWindow(), [this] { enterShallow(); });
+    sim_.after(cfg_.entryWindow(),
+               idleTimer_.guard([this] { enterShallow(); }));
 }
 
 void
@@ -135,7 +136,7 @@ IoLink::transfer(sim::Tick payload_time, sim::Callback done)
 {
     ++transactions_;
     ++transfers_;
-    idleTimer_.cancel();
+    idleTimer_.restart();
 
     auto start_payload = [this, payload_time,
                           done = std::move(done)]() mutable {
@@ -164,7 +165,7 @@ void
 IoLink::beginTransaction()
 {
     ++transactions_;
-    idleTimer_.cancel();
+    idleTimer_.restart();
 }
 
 void
@@ -178,7 +179,7 @@ IoLink::endTransaction()
 void
 IoLink::enterL1(sim::Callback done)
 {
-    assert(!exiting_ && transactions_ == 0 &&
+    assert(!exiting_ && !enteringL1_ && transactions_ == 0 &&
            "enterL1 requires a quiesced link");
     if (state_ == LState::L1) {
         if (done)
@@ -186,16 +187,21 @@ IoLink::enterL1(sim::Callback done)
         return;
     }
     enteringL1_ = true;
-    idleTimer_.cancel();
-    entryEvent_ = sim_.after(cfg_.l1EntryLatency,
-                             [this, done = std::move(done)] {
+    idleTimer_.restart();
+    // `done` waits in a member (one entry is in flight at a time):
+    // guarded with it, the event would outgrow EventFn's inline buffer.
+    l1Entered_ = std::move(done);
+    auto enter = entryEvent_.guard([this] {
         enteringL1_ = false;
         setState(LState::L1);
         // InL0s means "L0s or deeper" (paper Sec. 4.2.1): L1 qualifies.
         inL0s_.write(true);
-        if (done)
-            done();
+        sim::Callback entered = std::move(l1Entered_);
+        if (entered)
+            entered();
     });
+    static_assert(sim::EventFn::storesInline<decltype(enter)>());
+    sim_.after(cfg_.l1EntryLatency, std::move(enter));
 }
 
 void
@@ -210,7 +216,8 @@ IoLink::exitL1(sim::Callback done)
         return;
     }
     if (enteringL1_) {
-        entryEvent_.cancel();
+        entryEvent_.restart();
+        l1Entered_ = nullptr;
         enteringL1_ = false;
         if (done)
             done();

@@ -114,7 +114,7 @@ class IoLink
     const std::string &name() const { return cfg_.name; }
 
   private:
-    /** (Re)arm or cancel the idle timer for shallow entry. */
+    /** (Re)arm or drop the idle timer for shallow entry. */
     void updateIdleTimer();
     void enterShallow();
     /** Begin waking to L0 from the shallow state or L1. */
@@ -133,8 +133,9 @@ class IoLink
     sim::Signal inL0s_;
     power::PowerLoad load_;
     stats::ResidencyCounter<kNumLStates> residency_;
-    sim::EventHandle idleTimer_;
-    sim::EventHandle entryEvent_;
+    sim::Flow idleTimer_;
+    sim::Flow entryEvent_;
+    sim::Callback l1Entered_; ///< completion of the L1 entry in flight
     /** Entries wrap a transfer's Callback with its payload time. */
     sim::WaitList<sim::EventFn> wakeWaiters_;
     std::uint64_t shallowWakes_ = 0;

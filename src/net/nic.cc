@@ -49,11 +49,12 @@ Nic::rxEnqueue(std::uint64_t id, sim::Tick service)
     if (frozen())
         return; // moderation wedged: descriptors pile up in the ring
     if (ring_.size() >= cfg_.rxFrames || cfg_.rxUsecs <= 0) {
-        timer_.cancel();
+        timer_.restart();
         fireInterrupt();
     } else if (ring_.size() == 1) {
         // Timer runs from the oldest unsignalled descriptor.
-        timer_ = sim_.after(cfg_.rxUsecs, [this] { fireInterrupt(); });
+        sim_.after(cfg_.rxUsecs,
+                   timer_.guard([this] { fireInterrupt(); }));
     }
 }
 
@@ -65,7 +66,7 @@ Nic::freeze(sim::Tick until)
     if (until <= frozenUntil_)
         return; // already frozen past that point
     frozenUntil_ = until;
-    timer_.cancel();
+    timer_.restart();
     // Thaw events from earlier (shorter) windows fire while frozen()
     // is still true and fall through; only the final one flushes.
     sim_.at(frozenUntil_, [this] {
@@ -81,7 +82,7 @@ Nic::freeze(sim::Tick until)
 std::vector<std::uint64_t>
 Nic::crashAbort()
 {
-    timer_.cancel();
+    timer_.restart();
     std::vector<std::uint64_t> ids;
     ids.reserve(ring_.size());
     for (const RxPacket &p : ring_)

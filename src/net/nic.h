@@ -135,7 +135,7 @@ class Nic
     bool frozen() const { return sim_.now() < frozenUntil_; }
 
     /**
-     * Server crash: destroy every unsignalled RX descriptor and cancel
+     * Server crash: destroy every unsignalled RX descriptor and drop
      * the moderation timer. @return the request ids the ring carried
      * (the caller reports them lost — a crash never silently vanishes
      * work). A DMA batch already in flight is not recalled; the owner
@@ -163,7 +163,7 @@ class Nic
     io::IoLink &link_;
     power::PowerLoad load_;
     std::vector<RxPacket> ring_;
-    sim::EventHandle timer_;
+    sim::Flow timer_;
     sim::Tick frozenUntil_ = 0;
     int dmaInFlight_ = 0;
     NicStats stats_;

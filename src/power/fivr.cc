@@ -50,7 +50,7 @@ Fivr::setTarget(double volts)
     if (volts == target_ && !ramping())
         return; // already settled at the requested level
 
-    settleEvent_.cancel();
+    settleEvent_.restart();
     v0_ = v_now;
     target_ = volts;
     rampStart_ = now;
@@ -63,7 +63,7 @@ Fivr::setTarget(double volts)
         return;
     }
     pwrOk_.write(false);
-    settleEvent_ = sim_.at(rampEnd_, [this] { pwrOk_.write(true); });
+    sim_.at(rampEnd_, settleEvent_.guard([this] { pwrOk_.write(true); }));
 }
 
 } // namespace apc::power

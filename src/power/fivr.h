@@ -19,6 +19,7 @@
 
 #include <string>
 
+#include "sim/callback.h"
 #include "sim/signal.h"
 #include "sim/simulation.h"
 #include "sim/time.h"
@@ -86,7 +87,7 @@ class Fivr
     double v0_;
     double target_;
     sim::Signal pwrOk_;
-    sim::EventHandle settleEvent_;
+    sim::Flow settleEvent_;
 };
 
 } // namespace apc::power

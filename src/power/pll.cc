@@ -22,11 +22,11 @@ Pll::powerOn(sim::Callback on_locked)
         return;
     state_ = State::Locking;
     load_.setPower(cfg_.powerWatts);
-    lockEvent_ = sim_.after(cfg_.relockLatency, [this] {
+    sim_.after(cfg_.relockLatency, lockEvent_.guard([this] {
         state_ = State::Locked;
         locked_.write(true);
         lockWaiters_.drain();
-    });
+    }));
 }
 
 void
@@ -34,7 +34,7 @@ Pll::powerOff()
 {
     if (state_ == State::Off)
         return;
-    lockEvent_.cancel();
+    lockEvent_.restart();
     state_ = State::Off;
     load_.setPower(0.0);
     locked_.write(false);

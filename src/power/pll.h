@@ -68,7 +68,7 @@ class Pll
     State state_ = State::Locked;
     sim::Signal locked_;
     PowerLoad load_;
-    sim::EventHandle lockEvent_;
+    sim::Flow lockEvent_;
     sim::WaitList<> lockWaiters_;
 };
 

@@ -14,7 +14,7 @@
  *    compilers (gcc builds are unaffected; the clang CI job builds with
  *    `-Wthread-safety -Werror`).
  *
- *  - `apc::sim::Mutex` / `SharedMutex` + their scoped lock types wrap
+ *  - `apc::sim::Mutex` + its scoped lock and condition variable wrap
  *    the std primitives with annotations, because libstdc++'s
  *    `std::mutex` is invisible to the analysis. Same codegen, checked
  *    capabilities.
@@ -42,7 +42,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
 #define APC_TSA(x) __attribute__((x))
@@ -112,55 +111,6 @@ class CondVar
 
   private:
     std::condition_variable cv_;
-};
-
-/** Annotated std::shared_mutex (reader/writer). */
-class APC_CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    void lock() APC_ACQUIRE() { m_.lock(); }
-    void unlock() APC_RELEASE() { m_.unlock(); }
-    void lock_shared() APC_ACQUIRE_SHARED() { m_.lock_shared(); }
-    void unlock_shared() APC_RELEASE_SHARED() { m_.unlock_shared(); }
-
-  private:
-    std::shared_mutex m_;
-};
-
-/** Scoped exclusive lock over SharedMutex. */
-class APC_SCOPED_CAPABILITY SharedMutexExclusiveLock
-{
-  public:
-    explicit SharedMutexExclusiveLock(SharedMutex &m) APC_ACQUIRE(m)
-        : m_(m)
-    {
-        m_.lock();
-    }
-    ~SharedMutexExclusiveLock() APC_RELEASE() { m_.unlock(); }
-    SharedMutexExclusiveLock(const SharedMutexExclusiveLock &) = delete;
-    SharedMutexExclusiveLock &
-    operator=(const SharedMutexExclusiveLock &) = delete;
-
-  private:
-    SharedMutex &m_;
-};
-
-/** Scoped shared (reader) lock over SharedMutex. */
-class APC_SCOPED_CAPABILITY SharedMutexSharedLock
-{
-  public:
-    explicit SharedMutexSharedLock(SharedMutex &m) APC_ACQUIRE_SHARED(m)
-        : m_(m)
-    {
-        m_.lock_shared();
-    }
-    ~SharedMutexSharedLock() APC_RELEASE_SHARED() { m_.unlock_shared(); }
-    SharedMutexSharedLock(const SharedMutexSharedLock &) = delete;
-    SharedMutexSharedLock &
-    operator=(const SharedMutexSharedLock &) = delete;
-
-  private:
-    SharedMutex &m_;
 };
 
 /**

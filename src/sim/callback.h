@@ -27,9 +27,11 @@ static_assert(EventFn::storesInline<std::pair<void *, Callback>>(),
               "an event capturing [this, Callback] must not fall back to "
               "the heap: shrink Callback or grow EventFn");
 
-/** A chain of scheduled steps that a newer one supersedes (an entry or
- *  exit flow, a delayed wire write): restart() turns every step
- *  guard()ed before it into a no-op. */
+/** The one way to abandon scheduled events: a timer (an idle window, a
+ *  demotion delay, a relock) or a chain of steps that a newer one
+ *  supersedes (an entry or exit flow, a delayed wire write). restart()
+ *  turns every event guard()ed before it into a no-op; the event still
+ *  fires, in its (tick, seq) slot, so no other event moves. */
 class Flow
 {
   public:

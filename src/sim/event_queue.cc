@@ -4,89 +4,7 @@
 #include <cassert>
 #include <utility>
 
-#ifndef NDEBUG
-#include <atomic>
-#include <unordered_map>
-
-#include "sim/annotations.h"
-#endif
-
 namespace apc::sim {
-
-#ifndef NDEBUG
-namespace {
-
-// The registry maps each live queue to its epoch — a process-unique id
-// — so a probe cannot pass falsely when a new queue is allocated at a
-// destroyed queue's address. The shared mutex keeps the hot probe
-// (every debug cancel()/pending(), from every fleet worker thread) on
-// the read path; the write path runs only at queue construction and
-// destruction. The map never escapes this struct, so the GUARDED_BY
-// annotation covers every access statically.
-struct LiveQueueRegistry
-{
-    SharedMutex m;
-    std::unordered_map<const EventQueue *, std::uint64_t> map
-        APC_GUARDED_BY(m);
-};
-
-// Function-local static dodges static-init-order issues.
-LiveQueueRegistry &
-registry()
-{
-    // lint:allow(mutable-global) debug-build handle-validation
-    // registry; consulted only to detect stale handles, never feeds
-    // simulation results
-    static LiveQueueRegistry r;
-    return r;
-}
-
-std::uint64_t
-nextQueueEpoch()
-{
-    // lint:allow(mutable-global) mints process-unique queue epochs for
-    // the debug registry above; the values never reach reports
-    static std::atomic<std::uint64_t> counter{0};
-    return ++counter;
-}
-
-} // namespace
-
-bool
-detail::queueAlive(const EventQueue *q, std::uint64_t epoch)
-{
-    LiveQueueRegistry &r = registry();
-    SharedMutexSharedLock lock(r.m);
-    auto it = r.map.find(q);
-    return it != r.map.end() && it->second == epoch;
-}
-
-EventQueue::EventQueue() : epoch_(nextQueueEpoch())
-{
-    LiveQueueRegistry &r = registry();
-    SharedMutexExclusiveLock lock(r.m);
-    r.map.emplace(this, epoch_);
-}
-
-EventQueue::~EventQueue()
-{
-    LiveQueueRegistry &r = registry();
-    SharedMutexExclusiveLock lock(r.m);
-    r.map.erase(this);
-}
-#else
-// Keep the symbols defined even in release builds so TUs compiled with
-// assertions enabled can link against a release library (the probe then
-// never reports a false positive — it just stops catching misuse).
-bool
-detail::queueAlive(const EventQueue *, std::uint64_t)
-{
-    return true;
-}
-
-EventQueue::EventQueue() = default;
-EventQueue::~EventQueue() = default;
-#endif
 
 std::uint32_t
 EventQueue::allocSlot()
@@ -103,12 +21,7 @@ EventQueue::allocSlot()
 void
 EventQueue::freeSlot(std::uint32_t slot)
 {
-    Record &rec = records_[slot];
-    rec.fn = nullptr;
-    ++rec.gen; // invalidates outstanding handles
-    rec.scheduled = false;
-    rec.cancelled = false;
-    rec.nextFree = freeHead_;
+    records_[slot].nextFree = freeHead_;
     freeHead_ = slot;
 }
 
@@ -120,9 +33,6 @@ EventQueue::prepareSchedule(Tick when)
         when = now_;
 
     const std::uint32_t slot = allocSlot();
-    Record &rec = records_[slot];
-    rec.seq = nextSeq_++;
-    rec.scheduled = true;
     ++live_;
 
     // An idle wheel may lag far behind after a quiet stretch; resync the
@@ -133,7 +43,7 @@ EventQueue::prepareSchedule(Tick when)
             wheelNext_ = aligned;
     }
 
-    const Ref ref{when, rec.seq, slot};
+    const Ref ref{when, nextSeq_++, slot};
     if (when >= wheelNext_ && when - wheelNext_ < kWheelSpan) {
         const std::size_t b = bucketIndex(when);
         buckets_[b].push_back(ref);
@@ -149,21 +59,6 @@ EventQueue::prepareSchedule(Tick when)
 }
 
 void
-EventQueue::cancelEvent(std::uint32_t slot, std::uint32_t gen)
-{
-    if (slot >= records_.size())
-        return;
-    Record &rec = records_[slot];
-    if (rec.gen != gen || !rec.scheduled || rec.cancelled)
-        return;
-    rec.cancelled = true;
-    rec.fn = nullptr; // release captured state immediately
-    --live_;
-    ++dead_;
-    maybeCompact();
-}
-
-void
 EventQueue::loadNextBucket()
 {
     run_.clear();
@@ -171,27 +66,20 @@ EventQueue::loadNextBucket()
     std::size_t b = bucketIndex(wheelNext_);
     if (buckets_[b].empty()) {
         // Skip the empty stretch in one hop. Only called with
-        // wheelCount_ > 0, so an occupied bucket exists; it may still
-        // land on a stale-set empty bucket (compaction), in which case
-        // the caller's loop just hops again.
-        occupied_[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
+        // wheelCount_ > 0, so an occupied bucket exists.
         const std::size_t d = nextOccupiedDistance(b);
         wheelNext_ += static_cast<Tick>(d) * kBucketTicks;
         b = (b + d) & (kNumBuckets - 1);
     }
-    std::vector<Ref> &bucket = buckets_[b];
     occupied_[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
-    if (!bucket.empty()) {
-        run_.swap(bucket);
-        wheelCount_ -= run_.size();
-        if (run_.size() > 1)
-            std::sort(run_.begin(), run_.end(),
-                      [](const Ref &x, const Ref &y) {
-                          if (x.when != y.when)
-                              return x.when < y.when;
-                          return x.seq < y.seq;
-                      });
-    }
+    run_.swap(buckets_[b]);
+    wheelCount_ -= run_.size();
+    if (run_.size() > 1)
+        std::sort(run_.begin(), run_.end(), [](const Ref &x, const Ref &y) {
+            if (x.when != y.when)
+                return x.when < y.when;
+            return x.seq < y.seq;
+        });
     wheelNext_ += kBucketTicks;
 }
 
@@ -220,27 +108,14 @@ EventQueue::nextOccupiedDistance(std::size_t from) const
 }
 
 /**
- * Establish the pop invariant: the run cursor and heap top are live, and
- * every wheel bucket that could hold an entry preceding the heap top has
- * been loaded. @return true if any event is pending.
+ * Establish the pop invariant: every wheel bucket that could hold an
+ * entry preceding the heap top has been loaded. @return true if any
+ * event is pending.
  */
 bool
 EventQueue::prepareNext()
 {
     for (;;) {
-        if (dead_ > 0) {
-            while (runPos_ < run_.size() && refDead(run_[runPos_])) {
-                --dead_;
-                freeSlot(run_[runPos_].slot);
-                ++runPos_;
-            }
-            while (!heap_.empty() && refDead(heap_.front())) {
-                --dead_;
-                freeSlot(heap_.front().slot);
-                std::pop_heap(heap_.begin(), heap_.end(), RefLater{});
-                heap_.pop_back();
-            }
-        }
         if (runPos_ < run_.size())
             return true;
         if (wheelCount_ == 0)
@@ -294,10 +169,9 @@ EventQueue::step()
         return false;
     assert(ref.when >= now_);
     now_ = ref.when;
-    Record &rec = records_[ref.slot];
-    EventFn fn = std::move(rec.fn);
-    // Free the slot before invoking: the callback may schedule (growing
-    // the pool and invalidating `rec`) or cancel its own stale handle.
+    EventFn fn = std::move(records_[ref.slot].fn);
+    // Free the slot before invoking: the callback may schedule and grow
+    // the pool.
     freeSlot(ref.slot);
     --live_;
     ++executed_;
@@ -326,54 +200,6 @@ EventQueue::runAll()
     while (step())
         ++n;
     return n;
-}
-
-void
-EventQueue::maybeCompact()
-{
-    if (dead_ >= 64 && dead_ > live_)
-        compact();
-}
-
-/** Reap every tombstone from the heap, wheel buckets, and run tail. */
-void
-EventQueue::compact()
-{
-    auto reap = [this](std::vector<Ref> &v, std::size_t from = 0) {
-        auto out = v.begin() + static_cast<std::ptrdiff_t>(from);
-        for (auto it = out; it != v.end(); ++it) {
-            if (refDead(*it)) {
-                freeSlot(it->slot);
-            } else {
-                *out++ = *it;
-            }
-        }
-        v.erase(out, v.end());
-    };
-
-    const std::size_t heapBefore = heap_.size();
-    reap(heap_);
-    if (heap_.size() != heapBefore)
-        std::make_heap(heap_.begin(), heap_.end(), RefLater{});
-
-    // Every bucket entry, live or dead, is counted in wheelCount_, so
-    // an empty wheel skips the 2048-bucket sweep entirely.
-    if (wheelCount_ > 0) {
-        for (std::vector<Ref> &bucket : buckets_) {
-            if (!bucket.empty()) {
-                const std::size_t before = bucket.size();
-                reap(bucket);
-                wheelCount_ -= before - bucket.size();
-            }
-        }
-    }
-
-    // The run prefix [0, runPos_) is already consumed; reap the tail in
-    // place (it stays sorted — reaping preserves relative order).
-    reap(run_, runPos_);
-
-    dead_ = 0;
-    ++compactions_;
 }
 
 } // namespace apc::sim

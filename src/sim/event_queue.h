@@ -16,8 +16,7 @@
  *    `EventRecord` with an inline small-buffer callable
  *    (`InplaceFunction`), so scheduling performs no callable or
  *    `shared_ptr` heap allocation. Slots are recycled through a free
- *    list; `EventHandle`s carry a generation counter and go stale (not
- *    dangling) when their slot is reused.
+ *    list.
  *
  *  - **Near-future timer wheel.** Events within ~2 ms of the wheel
  *    window land in one of 2048 ~1 µs buckets and bypass the binary
@@ -27,18 +26,17 @@
  *    common short timers — C-state hysteresis, rx-usecs coalescing,
  *    RTO, cap sampling — at O(1) push instead of O(log n) heap churn.
  *
- *  - **Tombstone reaping.** `EventHandle::cancel()` is O(1) (flag +
- *    immediate callback destruction); dead entries are dropped lazily
- *    at the consumption point and compacted eagerly once they
- *    outnumber live events, so cancel/reschedule-heavy workloads no
- *    longer grow the queue without bound.
+ * Every scheduled event fires. A component abandons one by guarding it
+ * with a `sim::Flow` (sim/callback.h) and restarting the flow, which
+ * turns the event into a no-op when it fires. The stale event keeps its
+ * (when, seq) slot, so every other event runs in the same order as if
+ * it had been removed.
  */
 
 #ifndef APC_SIM_EVENT_QUEUE_H
 #define APC_SIM_EVENT_QUEUE_H
 
 #include <array>
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -54,70 +52,6 @@ namespace apc::sim {
  * entire simulator schedules without a callback heap allocation.
  */
 using EventFn = InplaceFunction<void(), 64>;
-
-class EventQueue;
-
-namespace detail {
-/**
- * Debug-build liveness probe: true while @p q is a constructed, not yet
- * destroyed EventQueue whose debugEpoch() equals @p epoch. Backed by a
- * registry of live queues (so it never dereferences @p q) and used to
- * assert that a handle is not operated on after its queue's
- * destruction. Matching on the per-queue epoch — a process-unique id
- * minted at construction — keeps the probe reliable even when a new
- * queue is allocated at the destroyed queue's address (common in fleet
- * sweeps that recycle same-sized per-server Simulations). Always true
- * in NDEBUG builds.
- */
-bool queueAlive(const EventQueue *q, std::uint64_t epoch);
-} // namespace detail
-
-/**
- * Cancellable reference to a scheduled event.
- *
- * Default-constructed handles are inert. Handles are cheap to copy
- * (four words, no ownership); all copies refer to the same underlying
- * event. A handle whose event has fired — or whose pooled slot has been
- * recycled for a newer event — compares the stored generation against
- * the slot's and degrades to a no-op, so stale handles can never cancel
- * somebody else's event.
- *
- * Handles reference their EventQueue without owning it (unlike the
- * previous shared_ptr-based design): cancel()/pending() must not be
- * called after the queue is destroyed. In practice every handle lives
- * in a component owned alongside the queue's Simulation, so normal
- * teardown is safe. Debug builds assert on such use-after-destruction
- * via a live-queue registry (see detail::queueAlive) instead of
- * dereferencing freed memory; release builds do not pay for the check.
- */
-class EventHandle
-{
-  public:
-    EventHandle() = default;
-
-    /** Cancel the event if it has not fired yet. Safe to call repeatedly. */
-    inline void cancel();
-
-    /** @return true if this handle refers to a not-yet-fired event. */
-    inline bool pending() const;
-
-    /** @return true if this handle refers to any event at all. */
-    bool valid() const { return queue_ != nullptr; }
-
-  private:
-    friend class EventQueue;
-
-    EventHandle(EventQueue *queue, std::uint64_t queue_epoch,
-                std::uint32_t slot, std::uint32_t gen)
-        : queue_(queue), queueEpoch_(queue_epoch), slot_(slot), gen_(gen)
-    {}
-
-    EventQueue *queue_ = nullptr;
-    /** The queue's debugEpoch(), for the use-after-destroy assert. */
-    std::uint64_t queueEpoch_ = 0;
-    std::uint32_t slot_ = 0;
-    std::uint32_t gen_ = 0;
-};
 
 /**
  * The central event queue. Owns simulated time: time only advances when
@@ -135,8 +69,7 @@ class EventQueue
     static constexpr Tick kWheelSpan =
         kBucketTicks * static_cast<Tick>(kNumBuckets);
 
-    EventQueue();  // registers in the debug live-queue registry
-    ~EventQueue(); // unregisters
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -152,21 +85,18 @@ class EventQueue
      *      asserts in debug builds (clamped to now() otherwise).
      */
     template <typename F>
-    EventHandle
+    void
     scheduleAt(Tick when, F &&fn)
     {
-        const std::uint32_t slot = prepareSchedule(when);
-        Record &rec = records_[slot];
-        rec.fn = std::forward<F>(fn);
-        return EventHandle(this, epoch_, slot, rec.gen);
+        records_[prepareSchedule(when)].fn = std::forward<F>(fn);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
     template <typename F>
-    EventHandle
+    void
     scheduleAfter(Tick delay, F &&fn)
     {
-        return scheduleAt(now_ + delay, std::forward<F>(fn));
+        scheduleAt(now_ + delay, std::forward<F>(fn));
     }
 
     /**
@@ -187,52 +117,27 @@ class EventQueue
      */
     bool step();
 
-    /** Number of live (scheduled, not cancelled) events. */
+    /** Number of scheduled events that have not fired yet. */
     std::size_t pendingEvents() const { return live_; }
 
-    /** Total events executed since construction. */
+    /** Total events executed since construction (stale ones included). */
     std::uint64_t executedEvents() const { return executed_; }
 
-    /**
-     * Entries physically present in the internal containers, including
-     * cancelled-but-unreaped tombstones. Compaction keeps this within a
-     * small factor of pendingEvents(); exposed for regression tests.
-     */
-    std::size_t internalEntries() const { return live_ + dead_; }
-
-    /** Cancelled entries awaiting reaping. */
-    std::size_t deadEntries() const { return dead_; }
-
-    /** Allocated record-pool slots (high-water mark of internalEntries). */
+    /** Allocated record-pool slots (high-water mark of pendingEvents). */
     std::size_t poolCapacity() const { return records_.size(); }
-
-    /** Eager tombstone compaction passes run so far. */
-    std::uint64_t compactions() const { return compactions_; }
-
-    /**
-     * Process-unique id minted at construction (0 in NDEBUG builds);
-     * pairs with detail::queueAlive() for use-after-destroy detection.
-     */
-    std::uint64_t debugEpoch() const { return epoch_; }
 
     /** Events that entered through the timer wheel / the binary heap. */
     std::uint64_t wheelScheduled() const { return wheelScheduled_; }
     std::uint64_t heapScheduled() const { return heapScheduled_; }
 
   private:
-    friend class EventHandle;
-
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
     /** Pooled event record; the callable lives inline here. */
     struct Record
     {
         EventFn fn;
-        std::uint64_t seq = 0;
-        std::uint32_t gen = 0;
         std::uint32_t nextFree = kNoSlot;
-        bool scheduled = false;
-        bool cancelled = false;
     };
 
     /** Lightweight entry stored in the wheel buckets and the heap. */
@@ -262,8 +167,6 @@ class EventQueue
             (kNumBuckets - 1);
     }
 
-    bool refDead(const Ref &r) const { return records_[r.slot].cancelled; }
-
     /**
      * Allocate a record, assign its sequence number, and place the
      * (when, seq, slot) ref in the wheel or heap. The caller fills in
@@ -280,20 +183,6 @@ class EventQueue
     bool prepareNext();
     bool takeNext(Ref &out);
     bool peekWhen(Tick &when);
-    void maybeCompact();
-    void compact();
-
-    // EventHandle backends.
-    void cancelEvent(std::uint32_t slot, std::uint32_t gen);
-    bool
-    eventPending(std::uint32_t slot, std::uint32_t gen) const
-    {
-        return slot < records_.size() && records_[slot].gen == gen &&
-            records_[slot].scheduled && !records_[slot].cancelled;
-    }
-
-    /** See debugEpoch(). Assigned in the constructor, debug builds only. */
-    std::uint64_t epoch_ = 0;
 
     std::vector<Record> records_;
     std::uint32_t freeHead_ = kNoSlot;
@@ -304,12 +193,12 @@ class EventQueue
     /** Near-future wheel. Buckets hold unsorted refs until consumed. */
     std::array<std::vector<Ref>, kNumBuckets> buckets_;
     /**
-     * Bucket-occupancy bitmap (bit = bucket may be non-empty). Lets a
+     * Bucket-occupancy bitmap (bit = bucket is non-empty). Lets a
      * sparse advance jump straight to the next occupied bucket instead
      * of stepping empty ones — a fleet of mostly-idle servers advanced
      * in ~200 µs epochs otherwise walks ~200 empty buckets per server
-     * per epoch. Bits can be stale-set (bucket emptied by compaction);
-     * they are cleared when visited. A clear bit is always truthful.
+     * per epoch. A bit is set on push and cleared when its bucket is
+     * loaded.
      */
     std::array<std::uint64_t, kNumBuckets / 64> occupied_{};
     std::size_t wheelCount_ = 0;
@@ -324,31 +213,9 @@ class EventQueue
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t live_ = 0;
-    std::size_t dead_ = 0;
-    std::uint64_t compactions_ = 0;
     std::uint64_t wheelScheduled_ = 0;
     std::uint64_t heapScheduled_ = 0;
 };
-
-inline void
-EventHandle::cancel()
-{
-    if (!queue_)
-        return;
-    assert(detail::queueAlive(queue_, queueEpoch_) &&
-           "EventHandle::cancel() after its EventQueue was destroyed");
-    queue_->cancelEvent(slot_, gen_);
-}
-
-inline bool
-EventHandle::pending() const
-{
-    if (!queue_)
-        return false;
-    assert(detail::queueAlive(queue_, queueEpoch_) &&
-           "EventHandle::pending() after its EventQueue was destroyed");
-    return queue_->eventPending(slot_, gen_);
-}
 
 } // namespace apc::sim
 

@@ -20,7 +20,7 @@ Signal::applyEdge(bool v)
     // mutations are deferred mid-dispatch: observers subscribed during
     // dispatch are parked in pendingAdds_ (they miss every edge
     // delivered before the outermost dispatch unwinds), and observers
-    // unsubscribed during dispatch are tombstoned (id 0) and skipped,
+    // unsubscribed during dispatch are marked dead (id 0) and skipped,
     // so a self-unsubscribing callback is never destroyed mid-call.
     const std::size_t n = subs_.size();
     ++dispatchDepth_;

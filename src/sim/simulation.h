@@ -37,18 +37,18 @@ class Simulation
 
     /** Schedule @p fn at absolute tick @p when. */
     template <typename F>
-    EventHandle
+    void
     at(Tick when, F &&fn)
     {
-        return events_.scheduleAt(when, std::forward<F>(fn));
+        events_.scheduleAt(when, std::forward<F>(fn));
     }
 
     /** Schedule @p fn @p delay ticks from now. */
     template <typename F>
-    EventHandle
+    void
     after(Tick delay, F &&fn)
     {
-        return events_.scheduleAfter(delay, std::forward<F>(fn));
+        events_.scheduleAfter(delay, std::forward<F>(fn));
     }
 
     /** Run until @p until (inclusive); see EventQueue::runUntil. */

@@ -45,7 +45,7 @@ void
 Gpmu::onAllCc6(bool level)
 {
     if (!level) {
-        demotionEvent_.cancel();
+        demotionEvent_.restart();
         // A core waking is a wake event for any in-flight or resident
         // deep package state.
         if (state_ == State::EnteringPc6 || state_ == State::Pc6)
@@ -54,10 +54,10 @@ Gpmu::onAllCc6(bool level)
     }
     if (state_ != State::Pc0)
         return;
-    demotionEvent_ = sim_.after(cfg_.demotionDelay, [this] {
+    sim_.after(cfg_.demotionDelay, demotionEvent_.guard([this] {
         if (allCc6_->output().read() && state_ == State::Pc0)
             startEntry();
-    });
+    }));
 }
 
 void

@@ -148,7 +148,7 @@ class Gpmu
     State state_ = State::Pc0;
     sim::Signal wakeUp_;
     std::unique_ptr<sim::AndTree> allCc6_;
-    sim::EventHandle demotionEvent_;
+    sim::Flow demotionEvent_;
     sim::Flow flow_; ///< the entry/exit flow in progress
     bool wakePending_ = false;
     // Which entry steps completed (for unwinding):

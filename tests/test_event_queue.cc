@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -139,46 +139,32 @@ TEST(EventQueue, EventsScheduledFromEvents)
     EXPECT_EQ(times, (std::vector<Tick>{10, 15}));
 }
 
-TEST(EventQueue, CancelPreventsExecution)
+TEST(EventQueue, RestartedFlowTurnsItsEventIntoANoOp)
 {
     EventQueue q;
+    Flow flow;
     int fired = 0;
-    auto h = q.scheduleAt(10, [&] { ++fired; });
-    EXPECT_TRUE(h.pending());
-    h.cancel();
-    EXPECT_FALSE(h.pending());
+    q.scheduleAt(10, flow.guard([&] { ++fired; }));
+    flow.restart();
     q.runAll();
     EXPECT_EQ(fired, 0);
-}
-
-TEST(EventQueue, CancelAfterFireIsHarmless)
-{
-    EventQueue q;
-    int fired = 0;
-    auto h = q.scheduleAt(10, [&] { ++fired; });
-    q.runAll();
-    EXPECT_EQ(fired, 1);
-    EXPECT_FALSE(h.pending());
-    h.cancel(); // no-op
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, DefaultHandleIsInert)
-{
-    EventHandle h;
-    EXPECT_FALSE(h.valid());
-    EXPECT_FALSE(h.pending());
-    h.cancel(); // must not crash
-}
-
-TEST(EventQueue, ExecutedCountsOnlyLiveEvents)
-{
-    EventQueue q;
-    auto h = q.scheduleAt(5, [] {});
-    q.scheduleAt(6, [] {});
-    h.cancel();
-    q.runAll();
+    // The event itself still fired, as a no-op.
     EXPECT_EQ(q.executedEvents(), 1u);
+    EXPECT_EQ(q.now(), 10);
+}
+
+TEST(EventQueue, RestartAfterFireIsHarmless)
+{
+    EventQueue q;
+    Flow flow;
+    int fired = 0;
+    q.scheduleAt(10, flow.guard([&] { ++fired; }));
+    q.runAll();
+    EXPECT_EQ(fired, 1);
+    flow.restart(); // nothing left to abandon
+    q.scheduleAt(20, flow.guard([&] { ++fired; }));
+    q.runAll();
+    EXPECT_EQ(fired, 2);
 }
 
 TEST(EventQueue, SameTickFifoAcrossWheelAndHeap)
@@ -245,166 +231,78 @@ TEST(EventQueue, FarFutureEventsReenterWheelWindow)
     EXPECT_EQ(q.now(), far + 100);
 }
 
-TEST(EventQueue, CancelThenFireRaceSameTick)
+TEST(EventQueue, RestartThenFireRaceSameTick)
 {
-    // An event cancelling a same-tick later event must win the race:
-    // the victim is already in a container but must never run.
+    // An event restarting the flow of a same-tick later event must win
+    // the race: the victim is already in a container but its body must
+    // never run.
     EventQueue q;
     int fired = 0;
-    EventHandle victim;
-    q.scheduleAt(10, [&] { victim.cancel(); });
-    victim = q.scheduleAt(10, [&] { ++fired; });
+    Flow victim;
+    q.scheduleAt(10, [&] { victim.restart(); });
+    q.scheduleAt(10, victim.guard([&] { ++fired; }));
     q.scheduleAt(10, [&] { ++fired; }); // bystander after the victim
     q.runAll();
     EXPECT_EQ(fired, 1);
-    EXPECT_EQ(q.executedEvents(), 2u);
+    EXPECT_EQ(q.executedEvents(), 3u); // the victim fired as a no-op
+}
+
+TEST(EventQueue, StaleEventKeepsItsTickSeqSlot)
+{
+    // Abandoning an event does not remove it: it fires as a no-op in
+    // the (tick, seq) slot it was given. A same-tick event scheduled
+    // after it still runs after it, and a re-armed replacement queues
+    // behind both.
+    EventQueue q;
+    Flow flow;
+    std::vector<int> order;
+    q.scheduleAt(10, [&] { order.push_back(0); });
+    q.scheduleAt(10, flow.guard([&] { order.push_back(1); }));
+    q.scheduleAt(10, [&] { order.push_back(2); });
+    flow.restart();
+    q.scheduleAt(10, flow.guard([&] { order.push_back(3); }));
+
+    ASSERT_TRUE(q.step());
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    ASSERT_TRUE(q.step()); // the stale event, in its own slot
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    ASSERT_TRUE(q.step());
+    EXPECT_EQ(order, (std::vector<int>{0, 2}));
+    ASSERT_TRUE(q.step());
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 3}));
+    EXPECT_FALSE(q.step());
+    EXPECT_EQ(q.executedEvents(), 4u);
 }
 
 TEST(EventQueue, RescheduleFromCallbackPreservesOrder)
 {
-    // The classic hysteresis-timer pattern: cancel + re-arm from inside
-    // a callback, interleaved with an independent event stream.
+    // The classic hysteresis-timer pattern: restart + re-arm from
+    // inside a callback, interleaved with an independent event stream.
     EventQueue q;
     std::vector<Tick> fired;
-    EventHandle timer;
-    timer = q.scheduleAt(100, [&] { fired.push_back(q.now()); });
+    Flow timer;
+    q.scheduleAt(100, timer.guard([&] { fired.push_back(q.now()); }));
     q.scheduleAt(50, [&] {
-        timer.cancel();
-        timer = q.scheduleAt(150, [&] { fired.push_back(q.now()); });
+        timer.restart();
+        q.scheduleAt(150, timer.guard([&] { fired.push_back(q.now()); }));
     });
     q.scheduleAt(120, [&] { fired.push_back(q.now()); });
     q.runAll();
     EXPECT_EQ(fired, (std::vector<Tick>{120, 150}));
 }
 
-TEST(EventQueue, HandleInvalidationAfterGenerationReuse)
-{
-    EventQueue q;
-    int first = 0, second = 0;
-    auto h1 = q.scheduleAt(5, [&] { ++first; });
-    q.runAll();
-    EXPECT_EQ(first, 1);
-    EXPECT_FALSE(h1.pending());
-    // The pool recycles the slot for the next event; the stale handle
-    // must not be able to cancel (or observe) the new occupant.
-    auto h2 = q.scheduleAt(10, [&] { ++second; });
-    h1.cancel();
-    EXPECT_TRUE(h2.pending());
-    q.runAll();
-    EXPECT_EQ(second, 1);
-}
-
-TEST(EventQueue, DebugLivenessRegistryMatchesOnEpoch)
-{
-    // (After-destroy detection end-to-end is the death test below;
-    // probing a literal freed pointer here would itself be UB.)
-    auto q = std::make_unique<EventQueue>();
-    const std::uint64_t epoch = q->debugEpoch();
-    EXPECT_TRUE(detail::queueAlive(q.get(), epoch));
-#ifndef NDEBUG
-    // Epochs are process-unique, so a different queue — even one the
-    // allocator later places at a destroyed queue's address — can
-    // never satisfy a stale handle's probe (the ABA case fleet sweeps
-    // hit when recycling same-sized per-server Simulations).
-    auto q2 = std::make_unique<EventQueue>();
-    EXPECT_NE(q2->debugEpoch(), epoch);
-    EXPECT_FALSE(detail::queueAlive(q2.get(), epoch));
-    EXPECT_FALSE(detail::queueAlive(q.get(), q2->debugEpoch()));
-#endif
-}
-
-#ifndef NDEBUG
-// Handles hold a raw EventQueue*; operating on one after the queue is
-// gone is a teardown-order bug. Debug builds must trip the liveness
-// assert instead of dereferencing freed memory.
-TEST(EventQueueDeathTest, HandleUseAfterQueueDestroyedAsserts)
-{
-    auto q = std::make_unique<EventQueue>();
-    auto h = q->scheduleAt(5, [] {});
-    q.reset();
-    EXPECT_DEATH(h.cancel(), "EventQueue was destroyed");
-    EXPECT_DEATH((void)h.pending(), "EventQueue was destroyed");
-}
-#endif
-
-TEST(EventQueue, CancelRescheduleKeepsMemoryBounded)
-{
-    // Regression: the old queue left every cancelled entry as a heap
-    // tombstone until it surfaced, so a cancel/reschedule-heavy
-    // workload (per-request hysteresis timers) grew without bound. With
-    // eager compaction, internal entries stay within a small constant
-    // of the live count.
-    EventQueue q;
-    EventHandle timer;
-    std::size_t peakEntries = 0, peakPool = 0;
-    for (int i = 0; i < 100000; ++i) {
-        timer.cancel();
-        timer = q.scheduleAfter(1000 + i % 7, [] {});
-        peakEntries = std::max(peakEntries, q.internalEntries());
-        peakPool = std::max(peakPool, q.poolCapacity());
-    }
-    EXPECT_EQ(q.pendingEvents(), 1u);
-    EXPECT_LE(peakEntries, 256u);
-    EXPECT_LE(peakPool, 256u);
-    EXPECT_GT(q.compactions(), 0u);
-    q.runAll();
-    EXPECT_EQ(q.executedEvents(), 1u);
-}
-
-TEST(EventQueue, CrashStyleMassCancellationStorm)
-{
-    // A server crash cancels *everything at once* — every in-flight
-    // completion, timer, and interrupt — then the restart schedules a
-    // fresh population into the same wheel buckets. The queue must
-    // reap the storm's tombstones, keep its bucket bitmap usable
-    // despite stale-set bits, and fire only the survivors, in order.
-    EventQueue q;
-    std::vector<EventHandle> doomed;
-    int fired_old = 0;
-    for (int i = 0; i < 4096; ++i)
-        doomed.push_back(q.scheduleAfter(
-            1 + (i % 64) * (sim::kUs / 2) +
-                (i % 3 == 0 ? 4 * EventQueue::kWheelSpan : 0),
-            [&] { ++fired_old; }));
-    for (EventHandle &h : doomed)
-        h.cancel();
-    EXPECT_EQ(q.pendingEvents(), 0u);
-
-    // Refill the same time range; the storm's slots get recycled.
-    std::vector<Tick> fired_new;
-    for (int i = 0; i < 512; ++i)
-        q.scheduleAfter(1 + (i % 64) * (sim::kUs / 2),
-                        [&] { fired_new.push_back(q.now()); });
-    q.runAll();
-
-    EXPECT_EQ(fired_old, 0);
-    EXPECT_EQ(fired_new.size(), 512u);
-    EXPECT_TRUE(std::is_sorted(fired_new.begin(), fired_new.end()));
-    EXPECT_GT(q.compactions(), 0u);
-    // The storm left no unbounded residue behind.
-    EXPECT_EQ(q.pendingEvents(), 0u);
-    EXPECT_LE(q.internalEntries(), 1u);
-
-    // Stale handles survived slot recycling: generation mismatch
-    // degrades every operation to a no-op.
-    for (EventHandle &h : doomed) {
-        EXPECT_FALSE(h.pending());
-        h.cancel(); // must not touch the recycled occupants
-    }
-}
-
-TEST(EventQueue, SeededChurnReplayWithCancelStorms)
+TEST(EventQueue, SeededChurnReplayWithRestartStorms)
 {
     // Deterministic replay under the nastiest schedule: random
-    // schedule/cancel churn punctuated by epoch-style mass-cancel
-    // storms that empty whole wheel buckets (leaving stale bitmap
-    // bits) while the queue is mid-advance. Two runs with the same
-    // seed must fire the identical (time, id) sequence.
+    // schedules punctuated by epoch-style storms that abandon every
+    // event scheduled so far (a server crash) while the queue is
+    // mid-advance. Two runs with the same seed must fire the identical
+    // (time, id) sequence.
     auto run = [](std::uint64_t seed) {
         Rng rng(seed);
         EventQueue q;
         std::vector<std::pair<Tick, int>> fired;
-        std::vector<EventHandle> handles;
+        Flow epoch;
         int id = 0;
         for (int round = 0; round < 40; ++round) {
             for (int i = 0; i < 200; ++i) {
@@ -414,16 +312,12 @@ TEST(EventQueue, SeededChurnReplayWithCancelStorms)
                                    2 * EventQueue::kWheelSpan / sim::kUs)) *
                             (sim::kUs / 4);
                 const int my = id++;
-                handles.push_back(q.scheduleAfter(d, [&fired, &q, my] {
+                q.scheduleAfter(d, epoch.guard([&fired, &q, my] {
                     fired.emplace_back(q.now(), my);
                 }));
             }
-            if (round % 4 == 3) {
-                // The storm: cancel everything scheduled so far.
-                for (EventHandle &h : handles)
-                    h.cancel();
-                handles.clear();
-            }
+            if (round % 4 == 3)
+                epoch.restart(); // the storm
             q.runUntil(q.now() + 3 * sim::kUs);
         }
         q.runAll();
@@ -437,25 +331,27 @@ TEST(EventQueue, SeededChurnReplayWithCancelStorms)
 
 TEST(EventQueue, DeterministicUnderRandomizedChurn)
 {
-    // Same seed => identical firing sequence, across a schedule/cancel
-    // mix that exercises wheel, heap, compaction, and slot reuse.
+    // Same seed => identical firing sequence, across a schedule/abandon
+    // mix that exercises wheel, heap and slot reuse. Each event has its
+    // own flow, so abandoning one leaves the others armed.
     auto run = [](std::uint64_t seed) {
         Rng rng(seed);
         EventQueue q;
         std::vector<std::pair<Tick, int>> fired;
-        std::vector<EventHandle> handles;
+        std::deque<Flow> flows; // stable addresses for the guards
         int id = 0;
         for (int i = 0; i < 2000; ++i) {
             const Tick d = 1 + rng.uniformInt(
                 0, static_cast<int>(2 * EventQueue::kWheelSpan /
                                     sim::kUs)) * (sim::kUs / 4);
             const int my = id++;
-            handles.push_back(q.scheduleAfter(
-                d, [&fired, &q, my] { fired.emplace_back(q.now(), my); }));
-            if (i % 3 == 0 && !handles.empty())
-                handles[static_cast<std::size_t>(
-                    rng.uniformInt(0, static_cast<int>(
-                        handles.size() - 1)))].cancel();
+            Flow &flow = flows.emplace_back();
+            q.scheduleAfter(d, flow.guard([&fired, &q, my] {
+                fired.emplace_back(q.now(), my);
+            }));
+            if (i % 3 == 0)
+                flows[static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<int>(flows.size() - 1)))].restart();
             if (i % 5 == 0)
                 q.runUntil(q.now() + sim::kUs);
         }
