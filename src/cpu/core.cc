@@ -24,17 +24,15 @@ CoreConfig::skxDefaults()
 }
 
 Core::Core(sim::Simulation &sim, power::EnergyMeter &meter, int id,
-           const CoreConfig &cfg, std::unique_ptr<IdleGovernor> governor)
-    : sim_(sim), cfg_(cfg), id_(id), governor_(std::move(governor)),
+           const CoreConfig &cfg, LadderGovernor governor)
+    : sim_(sim), cfg_(cfg), id_(id), governor_(governor),
       inCc1_(sim, "core" + std::to_string(id) + ".InCC1", false),
       inCc6_(sim, "core" + std::to_string(id) + ".InCC6", false),
       load_(meter, "core" + std::to_string(id), power::Plane::Package,
             cfg.cstates[0].powerWatts),
       residency_(static_cast<std::size_t>(CState::CC0), sim.now()),
       activePowerWatts_(cfg.cstates[0].powerWatts)
-{
-    assert(governor_ && "core requires an idle governor");
-}
+{}
 
 void
 Core::setActivePower(double watts)
@@ -48,8 +46,7 @@ void
 Core::release()
 {
     assert(phase_ == Phase::Active && "release() outside Active");
-    idleStart_ = sim_.now();
-    beginEntry(governor_->initialState());
+    beginEntry(LadderGovernor::initialState());
 }
 
 void
@@ -88,7 +85,7 @@ void
 Core::armPromotion()
 {
     CState next;
-    const sim::Tick after = governor_->promoteAfter(state_, next);
+    const sim::Tick after = governor_.promoteAfter(state_, next);
     if (after == sim::kTickNever)
         return;
     sim_.after(after, promotionEvent_.guard([this, next] {
@@ -149,7 +146,6 @@ Core::finishExit()
     state_ = CState::CC0;
     wakePending_ = false;
     ++wakeups_;
-    governor_->recordIdle(sim_.now() - idleStart_);
     wakeCallbacks_.drain();
 }
 

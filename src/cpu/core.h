@@ -15,7 +15,6 @@
 #define APC_CPU_CORE_H
 
 #include <array>
-#include <memory>
 #include <string>
 
 #include "cpu/cstate.h"
@@ -54,10 +53,10 @@ class Core
      * @param meter    energy meter for the package plane
      * @param id       core number (names wires and loads)
      * @param cfg      latency/power table
-     * @param governor idle-state selection policy (owned)
+     * @param governor idle-state selection policy
      */
     Core(sim::Simulation &sim, power::EnergyMeter &meter, int id,
-         const CoreConfig &cfg, std::unique_ptr<IdleGovernor> governor);
+         const CoreConfig &cfg, LadderGovernor governor);
 
     /**
      * The core finished its work and goes idle: the governor picks an
@@ -116,7 +115,6 @@ class Core
 
     int id() const { return id_; }
     const CoreConfig &config() const { return cfg_; }
-    IdleGovernor &governor() { return *governor_; }
 
   private:
     const CStateParams &
@@ -139,7 +137,7 @@ class Core
     sim::Simulation &sim_;
     CoreConfig cfg_;
     int id_;
-    std::unique_ptr<IdleGovernor> governor_;
+    LadderGovernor governor_;
     Phase phase_ = Phase::Active;
     CState state_ = CState::CC0; ///< idle target / resident state
     sim::Signal inCc1_;
@@ -149,7 +147,6 @@ class Core
     sim::Flow promotionEvent_;
     sim::WaitList<> wakeCallbacks_;
     bool wakePending_ = false;
-    sim::Tick idleStart_ = 0;
     std::uint64_t wakeups_ = 0;
     double activePowerWatts_;
 };

@@ -3,7 +3,7 @@
 namespace apc::cpu {
 
 sim::Tick
-LadderGovernor::promoteAfter(CState current, CState &next_out)
+LadderGovernor::promoteAfter(CState current, CState &next_out) const
 {
     switch (current) {
       case CState::CC1:
@@ -25,29 +25,6 @@ LadderGovernor::promoteAfter(CState current, CState &next_out)
       default:
         return sim::kTickNever;
     }
-}
-
-CState
-MenuGovernor::initialState()
-{
-    CState best = CState::CC1;
-    for (std::size_t i = 1; i < kNumCStates; ++i) {
-        const auto s = static_cast<CState>(i);
-        if (!cfg_.mask.isEnabled(s))
-            continue;
-        if (cfg_.params[i].targetResidency <= predicted_)
-            best = s;
-    }
-    return best;
-}
-
-void
-MenuGovernor::recordIdle(sim::Tick duration)
-{
-    const double a = cfg_.ewmaAlpha;
-    predicted_ = static_cast<sim::Tick>(
-        a * static_cast<double>(duration)
-        + (1.0 - a) * static_cast<double>(predicted_));
 }
 
 } // namespace apc::cpu

@@ -1,52 +1,25 @@
 /**
  * @file
- * OS idle governors.
+ * OS idle governor.
  *
- * When a core goes idle the OS picks a C-state. We model two policies:
- *
- * - `LadderGovernor`: enter the shallowest enabled state and *promote* to
- *   deeper states as the idle period stretches (Linux "ladder"; also a
- *   good match for the powertop auto-tuned Cdeep setup in the paper).
- * - `MenuGovernor`: predict the upcoming idle length from recent history
- *   (EWMA) and directly pick the deepest enabled state whose target
- *   residency fits the prediction (Linux "menu").
- *
- * In the Cshallow baseline only CC1 is enabled, so both degenerate to
- * "always CC1", matching datacenter practice.
+ * When a core goes idle the OS picks a C-state. The model has one
+ * policy, `LadderGovernor`: enter the shallowest enabled state and
+ * *promote* to deeper states as the idle period stretches (Linux
+ * "ladder"; also a good match for the powertop auto-tuned Cdeep setup
+ * in the paper). In the Cshallow baseline only CC1 is enabled, so it
+ * degenerates to "always CC1", matching datacenter practice.
  */
 
 #ifndef APC_CPU_GOVERNOR_H
 #define APC_CPU_GOVERNOR_H
-
-#include <array>
-#include <memory>
 
 #include "cpu/cstate.h"
 #include "sim/time.h"
 
 namespace apc::cpu {
 
-/** Idle-state selection policy for one core. */
-class IdleGovernor
-{
-  public:
-    virtual ~IdleGovernor() = default;
-
-    /** State to enter when the core first goes idle. */
-    virtual CState initialState() = 0;
-
-    /**
-     * Residency in @p current after which the core should be promoted to
-     * @p next_out (deeper). Returns kTickNever when no promotion applies.
-     */
-    virtual sim::Tick promoteAfter(CState current, CState &next_out) = 0;
-
-    /** Feedback: the idle period just ended after @p duration. */
-    virtual void recordIdle(sim::Tick duration) = 0;
-};
-
 /** Ladder policy: shallow first, promote on residency thresholds. */
-class LadderGovernor : public IdleGovernor
+class LadderGovernor
 {
   public:
     struct Config
@@ -60,44 +33,17 @@ class LadderGovernor : public IdleGovernor
 
     explicit LadderGovernor(const Config &cfg) : cfg_(cfg) {}
 
-    CState initialState() override { return CState::CC1; }
-    sim::Tick promoteAfter(CState current, CState &next_out) override;
-    void recordIdle(sim::Tick) override {}
+    /** State to enter when the core first goes idle. */
+    static constexpr CState initialState() { return CState::CC1; }
+
+    /**
+     * Residency in @p current after which the core should be promoted to
+     * @p next_out (deeper). Returns kTickNever when no promotion applies.
+     */
+    sim::Tick promoteAfter(CState current, CState &next_out) const;
 
   private:
     Config cfg_;
-};
-
-/** Menu policy: EWMA idle prediction, direct selection. */
-class MenuGovernor : public IdleGovernor
-{
-  public:
-    struct Config
-    {
-        CStateMask mask = CStateMask::shallowOnly();
-        std::array<CStateParams, kNumCStates> params{};
-        double ewmaAlpha = 0.25; ///< weight of the newest observation
-        sim::Tick initialPrediction = 100 * sim::kUs;
-    };
-
-    explicit MenuGovernor(const Config &cfg)
-        : cfg_(cfg), predicted_(cfg.initialPrediction)
-    {}
-
-    CState initialState() override;
-    sim::Tick
-    promoteAfter(CState, CState &) override
-    {
-        return sim::kTickNever;
-    }
-    void recordIdle(sim::Tick duration) override;
-
-    /** Current idle-length prediction (for tests). */
-    sim::Tick predictedIdle() const { return predicted_; }
-
-  private:
-    Config cfg_;
-    sim::Tick predicted_;
 };
 
 } // namespace apc::cpu

@@ -27,6 +27,9 @@ mixSeed(std::uint64_t seed, std::uint64_t stream)
  *  every merged statistic — is identical for any parallelism. */
 constexpr std::size_t kReduceLeaf = 64;
 
+/** Time allowed after the measurement window to drain in-flight work. */
+constexpr sim::Tick kDrainLimit = 2 * sim::kSec;
+
 } // namespace
 
 std::string
@@ -169,18 +172,16 @@ FleetSim::FleetSim(FleetConfig cfg)
         }
         if (cfg_.budget.enabled)
             series_.rackBudgetW = metrics_->addSeries("rack.budget_w");
-        if (cfg_.metrics.perServer) {
-            const bool capped = cfg_.cap.enabled || cfg_.budget.enabled;
-            for (std::size_t i = 0; i < servers_.size(); ++i) {
-                const int e = static_cast<int>(i);
-                series_.srvPowerW.push_back(
-                    metrics_->addSeries("server.power_w", e));
-                series_.srvOutstanding.push_back(
-                    metrics_->addSeries("server.outstanding", e));
-                if (capped)
-                    series_.srvCapLimitW.push_back(
-                        metrics_->addSeries("server.cap_limit_w", e));
-            }
+        const bool capped = cfg_.cap.enabled || cfg_.budget.enabled;
+        for (std::size_t i = 0; i < servers_.size(); ++i) {
+            const int e = static_cast<int>(i);
+            series_.srvPowerW.push_back(
+                metrics_->addSeries("server.power_w", e));
+            series_.srvOutstanding.push_back(
+                metrics_->addSeries("server.outstanding", e));
+            if (capped)
+                series_.srvCapLimitW.push_back(
+                    metrics_->addSeries("server.cap_limit_w", e));
         }
     }
     // Audit-as-sanitizer: the environment can force the invariant
@@ -190,7 +191,6 @@ FleetSim::FleetSim(FleetConfig cfg)
     if (const char *env = std::getenv("APC_AUDIT_FAILFAST");
         env && *env && *env != '0') {
         cfg_.health.enabled = true;
-        cfg_.health.audit.enabled = true;
         cfg_.health.audit.failFast = true;
     }
     if (cfg_.health.enabled) {
@@ -217,15 +217,13 @@ FleetSim::FleetSim(FleetConfig cfg)
         nextAllocAt_ = cfg_.budgetEpoch;
     }
 
-    std::uint32_t budget = cfg_.packBudget;
-    if (budget == 0) {
-        // Pack to ~70% of the cores: keeps queueing (and therefore the
-        // p99) bounded while still emptying the rest of the fleet.
-        const auto cores = servers_[0]->soc().numCores();
-        budget = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(
-                   std::floor(0.7 * static_cast<double>(cores))));
-    }
+    // Packing's per-server outstanding budget: ~70% of the cores keeps
+    // queueing (and therefore the p99) bounded while still emptying
+    // the rest of the fleet.
+    const auto cores = servers_[0]->soc().numCores();
+    const auto budget = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(
+               std::floor(0.7 * static_cast<double>(cores))));
     dispatcher_ = makeDispatcher(cfg_.dispatch, cfg_.numServers, budget);
     lbView_.assign(cfg_.numServers, 0);
     inFlight_.reserve(1024);
@@ -509,16 +507,13 @@ void
 FleetSim::advanceShards(sim::Tick to)
 {
     const auto sc = profiler_.scope(obs::PhaseProfiler::Phase::Advance);
-    const bool prof = profiler_.enabled();
     pool_.parallelForRanges(
         layout_.numShards,
-        [this, to, prof](std::size_t b, std::size_t e) {
+        [this, to](std::size_t b, std::size_t e) {
             for (std::size_t sh = b; sh < e; ++sh) {
                 // Per-shard wall-clock feeds the imbalance metric; one
                 // writer per shard index, so no synchronization.
-                const auto t0 = prof
-                    ? obs::PhaseProfiler::Clock::now()
-                    : obs::PhaseProfiler::Clock::time_point{};
+                const auto t0 = obs::PhaseProfiler::Clock::now();
                 ShardSlot &slot = slots_[sh];
                 // This worker owns the shard for the whole phase.
                 sim::RoleGuard own(slot.writer);
@@ -541,10 +536,8 @@ FleetSim::advanceShards(sim::Tick to)
                           stagedBefore);
                 std::sort(slot.aborts.begin(), slot.aborts.end(),
                           stagedBefore);
-                if (prof)
-                    profiler_.addShardTime(
-                        sh,
-                        std::chrono::duration<double>(
+                profiler_.addShardTime(
+                    sh, std::chrono::duration<double>(
                             obs::PhaseProfiler::Clock::now() - t0)
                             .count());
             }
@@ -986,7 +979,6 @@ FleetReport
 FleetSim::run()
 {
     using Phase = obs::PhaseProfiler::Phase;
-    profiler_.enable(cfg_.profile);
     profiler_.beginRun(layout_.numShards);
 
     for (auto &s : servers_)
@@ -1038,7 +1030,7 @@ FleetSim::run()
         fabricPowerW_ = fabric_->averagePowerW(cfg_.duration);
 
     // Drain: no new arrivals; let in-flight work finish.
-    const sim::Tick deadline = end + cfg_.drainLimit;
+    const sim::Tick deadline = end + kDrainLimit;
     while (!inFlight_.empty() && t < deadline) {
         const sim::Tick t1 = std::min(t + cfg_.epoch, deadline);
         finishEpoch(t, t1);
@@ -1056,8 +1048,7 @@ FleetSim::run()
         // state (the drain may leave flights in the map; conservation
         // must account for them exactly).
         health_->slo().finish(t);
-        if (health_->auditEnabled())
-            health_->auditor().audit(buildAuditSnapshot(t));
+        health_->auditor().audit(buildAuditSnapshot(t));
     }
 
     return aggregate();
@@ -1128,8 +1119,7 @@ FleetSim::healthEpoch(sim::Tick t0, sim::Tick t1)
         slo.setCapCounters(cs, cv);
     }
     slo.onEpoch(t0, t1);
-    if (health_->auditEnabled() && health_->auditor().due(t1))
-        health_->auditor().audit(buildAuditSnapshot(t1));
+    health_->auditor().audit(buildAuditSnapshot(t1));
 }
 
 obs::AuditSnapshot
@@ -1231,16 +1221,15 @@ FleetSim::writeTrace(const std::string &path) const
                      "records dropped; export is incomplete (raise "
                      "TraceConfig::ringCapacity)\n",
                      static_cast<unsigned long long>(drops));
-    const obs::PhaseProfiler *prof = cfg_.profile ? &profiler_ : nullptr;
     if (attr_) {
         // Flow arrows (client -> critical server -> client) ride along
         // when attribution ran; built post-run from the same rings.
         const obs::AttributionResult res = obs::buildAttribution(*tracer_);
         const std::vector<obs::FlowEvent> flows =
-            obs::buildFlows(res, cfg_.attribution.flowLimit);
-        return tracer_->writePerfettoJson(path, prof, &flows);
+            obs::buildFlows(res, obs::kAttributionFlowLimit);
+        return tracer_->writePerfettoJson(path, &profiler_, &flows);
     }
-    return tracer_->writePerfettoJson(path, prof);
+    return tracer_->writePerfettoJson(path, &profiler_);
 }
 
 bool
@@ -1386,7 +1375,7 @@ FleetSim::aggregate()
     }
     if (attr_)
         rep.attribution = obs::LatencyAttribution::build(
-            obs::buildAttribution(*tracer_), cfg_.attribution.sampleLimit);
+            obs::buildAttribution(*tracer_), obs::kAttributionSampleLimit);
     if (health_)
         rep.health = health_->report();
     return rep;

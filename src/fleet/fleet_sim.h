@@ -88,12 +88,6 @@ struct FleetConfig
 
     /** Per-server NIC model (normally enabled together with fabric). */
     net::NicConfig nic;
-    /**
-     * Packing policy's per-server outstanding budget; 0 derives it from
-     * the server's core count (~70% target utilization).
-     */
-    std::uint32_t packBudget = 0;
-
     /** Latency SLO for violation accounting. */
     double sloUs = 1000.0;
 
@@ -123,8 +117,6 @@ struct FleetConfig
     sim::Tick duration = 300 * sim::kMs;
     /** Dispatch/advance quantum (load-balancer view staleness). */
     sim::Tick epoch = 200 * sim::kUs;
-    /** Extra time allowed after @p duration to drain in-flight work. */
-    sim::Tick drainLimit = 2 * sim::kSec;
 
     std::uint64_t seed = 42;
     /** Worker threads for the per-epoch parallel phase; <=1 = inline. */
@@ -183,10 +175,6 @@ struct FleetConfig
      * (a crashed replica is a lost request).
      */
     fault::RecoveryConfig recovery;
-
-    /** Wall-clock profiling of the route/advance/merge pipeline
-     *  (obs/profiler.h); negligible cost, on by default. */
-    bool profile = true;
 
     /**
      * Servers per shard; 0 picks one automatically from the thread
@@ -380,9 +368,9 @@ class FleetSim
     /** Engine wall-clock profile of the last run(). */
     const obs::PhaseProfiler &profiler() const { return profiler_; }
 
-    /** Export the merged trace as Perfetto JSON (includes the engine's
-     *  wall-clock phase spans when cfg.profile). @return false when
-     *  tracing is off or on IO failure. */
+    /** Export the merged trace as Perfetto JSON, including the
+     *  engine's wall-clock phase spans. @return false when tracing is
+     *  off or on IO failure. */
     bool writeTrace(const std::string &path) const;
 
     /** Export the sampled metrics series. @return false when metrics

@@ -79,12 +79,14 @@ struct AttributionConfig
     /** Master switch: enables segment instrumentation and the post-run
      *  blame report. Implies tracing (FleetSim forces trace.enabled). */
     bool enabled = false;
-    /** Per-request samples carried into the exported report (exact
-     *  integer ticks; CI validates additivity on them). */
-    std::size_t sampleLimit = 256;
-    /** Perfetto flow arrows emitted into writeTrace() exports. */
-    std::size_t flowLimit = 256;
 };
+
+/** Per-request samples carried into the exported report (exact integer
+ *  ticks; CI validates additivity on them). */
+inline constexpr std::size_t kAttributionSampleLimit = 256;
+
+/** Perfetto flow arrows emitted into FleetSim::writeTrace() exports. */
+inline constexpr std::size_t kAttributionFlowLimit = 256;
 
 /** One replica's reassembled causal chain. */
 struct ReplicaPath

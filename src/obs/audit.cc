@@ -98,7 +98,6 @@ void
 Auditor::audit(const AuditSnapshot &snap)
 {
     ++audits_;
-    lastAuditAt_ = snap.now;
 
     // (1) Flight conservation: every flight ever created is either
     // finished or still in the flight map — exactly.

@@ -38,7 +38,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,12 +65,8 @@ const char *auditCheckName(AuditCheck c);
 /** Auditor setup. */
 struct AuditConfig
 {
-    /** Run the auditor (when the owning HealthConfig is enabled). */
-    bool enabled = true;
     /** Abort with a diagnostic dump on the first violation. */
     bool failFast = false;
-    /** Audit cadence in sim-time; 0 audits every fleet epoch. */
-    sim::Tick interval = 0;
 };
 
 /** Per-server counters at the snapshot instant. */
@@ -170,12 +165,6 @@ class Auditor
     /** Record violation instants on @p w's Health track (null off). */
     void setTrace(TraceWriter *w) { trace_ = w; }
 
-    /** True when the audit cadence has elapsed since the last audit. */
-    bool due(sim::Tick now) const
-    {
-        return cfg_.interval <= 0 || now >= lastAuditAt_ + cfg_.interval;
-    }
-
     /** Run every check against @p snap. In failFast mode a violation
      *  aborts after dumping the snapshot; otherwise violations are
      *  counted and (bounded) retained. */
@@ -207,7 +196,6 @@ class Auditor
 
     AuditConfig cfg_;
     TraceWriter *trace_ = nullptr;
-    sim::Tick lastAuditAt_ = std::numeric_limits<sim::Tick>::min() / 2;
 
     std::uint64_t audits_ = 0;
     std::uint64_t checks_ = 0;

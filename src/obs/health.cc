@@ -18,13 +18,11 @@ HealthMonitor::report() const
     r.latencySamplesDropped = slo_.latencySamplesDropped();
     r.alerts = slo_.alerts();
     r.slo = slo_.config();
-    if (cfg_.audit.enabled) {
-        r.audits = auditor_.audits();
-        r.auditChecks = auditor_.checksRun();
-        r.auditViolations = auditor_.violationCount();
-        r.auditByCheck = auditor_.byCheck();
-        r.auditLog = auditor_.log();
-    }
+    r.audits = auditor_.audits();
+    r.auditChecks = auditor_.checksRun();
+    r.auditViolations = auditor_.violationCount();
+    r.auditByCheck = auditor_.byCheck();
+    r.auditLog = auditor_.log();
     return r;
 }
 

@@ -92,7 +92,7 @@ class HealthMonitor
     /** @param default_latency_slo_us fleet `sloUs` (latency SLI
      *  threshold default); @param severity policies come from @p cfg. */
     HealthMonitor(const HealthConfig &cfg, double default_latency_slo_us)
-        : cfg_(cfg), slo_(cfg.slo, default_latency_slo_us),
+        : slo_(cfg.slo, default_latency_slo_us),
           auditor_(cfg.audit)
     {
     }
@@ -107,13 +107,11 @@ class HealthMonitor
 
     SloMonitor &slo() { return slo_; }
     Auditor &auditor() { return auditor_; }
-    bool auditEnabled() const { return cfg_.audit.enabled; }
 
     /** Assemble the post-run summary. */
     HealthReport report() const;
 
   private:
-    HealthConfig cfg_;
     SloMonitor slo_;
     Auditor auditor_;
 };

@@ -58,7 +58,7 @@ SloMonitor::recordLatency(double us)
     else
         ++cur_.bad[lat];
     ++cur_.good[avail];
-    if (cur_.latency.size() < cfg_.maxSamplesPerEpoch)
+    if (cur_.latency.size() < kMaxSamplesPerEpoch)
         cur_.latency.push_back(us);
     else
         ++latDropped_;

@@ -90,11 +90,6 @@ struct SloConfig
      */
     BurnPolicy fast{12 * sim::kMs, 1 * sim::kMs, 14.4, "page"};
     BurnPolicy slow{72 * sim::kMs, 6 * sim::kMs, 6.0, "ticket"};
-
-    /** Per-epoch cap on retained latency samples (rolling-percentile
-     *  context); excess samples still count good/bad but drop out of
-     *  the percentile buffer (counted). */
-    std::size_t maxSamplesPerEpoch = 4096;
 };
 
 /** One alert lifecycle edge in the log. */
@@ -119,6 +114,11 @@ struct AlertEvent
 class SloMonitor
 {
   public:
+    /** Per-epoch cap on retained latency samples (rolling-percentile
+     *  context); excess samples still count good/bad but drop out of
+     *  the percentile buffer (counted). */
+    static constexpr std::size_t kMaxSamplesPerEpoch = 4096;
+
     SloMonitor(SloConfig cfg, double default_latency_slo_us);
 
     /** Mirror alert lifecycles and burn counters onto @p w's Health

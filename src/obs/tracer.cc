@@ -54,14 +54,6 @@ Tracer::Tracer(TraceConfig cfg, std::size_t num_writers) : cfg_(cfg)
     }
 }
 
-const char *
-Tracer::nameOf(StrId id) const
-{
-    if (id < kStaticNames)
-        return nameString(static_cast<Name>(id));
-    return interner_.str(id - kStaticNames).c_str();
-}
-
 void
 Tracer::setEntityLabel(std::size_t writer, std::string label)
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Span tracing: binary ring-buffer trace writers with interned string
+ * Span tracing: binary ring-buffer trace writers with static name
  * ids, merged deterministically and exported as Chrome/Perfetto
  * `trace_event` JSON.
  *
@@ -12,9 +12,8 @@
  *     the untraced run.
  *  2. **No per-event heap allocation.** A `TraceRecord` is a 48-byte
  *     POD; the ring grows amortized up to its capacity and then wraps
- *     (drop-oldest, counted). Names are 4-byte ids: the common
- *     vocabulary is a static enum (`Name`), dynamic strings intern once
- *     at setup time.
+ *     (drop-oldest, counted). Names are 4-byte ids into one static
+ *     vocabulary (`Name`).
  *  3. **Single-writer buffers.** Each fleet entity (the fleet spine,
  *     every server) records into its own `TraceWriter`; during a
  *     parallel advance phase a server's writer is touched only by the
@@ -64,11 +63,7 @@ inline constexpr std::size_t kNumTracks = 8;
 /** Display name for a track. */
 const char *trackName(Track t);
 
-/**
- * Static trace vocabulary: the hot paths record these without touching
- * the interner. Dynamic names (see Tracer::intern) get ids at or above
- * kStaticNames.
- */
+/** Static trace vocabulary: every record names one of these. */
 enum class Name : std::uint32_t
 {
     // Request lifecycle.
@@ -145,9 +140,6 @@ enum class Name : std::uint32_t
 
     kCount
 };
-
-/** First id available to dynamically interned names. */
-inline constexpr StrId kStaticNames = static_cast<StrId>(Name::kCount);
 
 /** Display string for a static name. */
 const char *nameString(Name n);
@@ -279,19 +271,6 @@ class TraceWriter
         return buf_.size();
     }
 
-    /** Discard all records and counters; capacity and entity — and any
-     *  name ids already interned by the owning Tracer — are unchanged,
-     *  so a writer can be reused across phases without re-interning. */
-    void
-    reset()
-    {
-        sim::RoleGuard own(ring_);
-        buf_.clear();
-        head_ = 0;
-        wrapped_ = false;
-        seq_ = 0;
-    }
-
     /** Visit live records oldest-first (recording order). */
     template <typename F>
     void
@@ -345,8 +324,8 @@ struct TraceConfig
 };
 
 /**
- * The fleet-wide tracer: one writer per entity plus the shared name
- * table, merge, and Perfetto export.
+ * The fleet-wide tracer: one writer per entity plus the merge and
+ * Perfetto export.
  */
 class Tracer
 {
@@ -362,15 +341,11 @@ class Tracer
     }
     std::size_t numWriters() const { return writers_.size(); }
 
-    /** Intern a dynamic name (setup-time only; not thread-safe). */
-    StrId
-    intern(std::string_view s)
+    /** Display string for a record's name id. */
+    static const char *nameOf(StrId id)
     {
-        return kStaticNames + interner_.intern(s);
+        return nameString(static_cast<Name>(id));
     }
-
-    /** Resolve any name id (static enum or dynamic). */
-    const char *nameOf(StrId id) const;
 
     /** Display label for a writer's entity in the export ("fleet",
      *  "server 3", ...). Defaults to "writer N". */
@@ -418,7 +393,6 @@ class Tracer
 
   private:
     TraceConfig cfg_;
-    StringInterner interner_;
     std::vector<std::unique_ptr<TraceWriter>> writers_;
     std::vector<std::string> labels_;
 };

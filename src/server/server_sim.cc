@@ -82,13 +82,7 @@ void
 ServerSim::onArrival()
 {
     scheduleNextArrival();
-    if (state_ != Lifecycle::Up)
-        return; // internal arrivals to a refusing server just vanish
-    const sim::Tick svc = service_->sample(sim_.rng());
-    if (nic_)
-        nic_->rxEnqueue(kNoRequestId, svc);
-    else
-        admit({sim_.now(), svc, false, kNoRequestId});
+    inject(kNoRequestId, 0);
 }
 
 void

@@ -70,28 +70,14 @@ class Signal
     void clear() { write(false); }
 
     /**
-     * Subscribe to edges. @return a subscription id for unsubscribe().
-     * Observers must not destroy the signal from inside the callback.
-     * Safe to call from inside an observer callback: because the
-     * observer list must not reallocate while one of its inline
-     * callables is executing, a mid-dispatch subscription is parked and
-     * merged only after the outermost dispatch unwinds — the new
-     * observer sees no edge dispatched before then (including nested
-     * edges raised by other observers of the one being dispatched).
+     * Subscribe to edges. Observers must not destroy the signal from
+     * inside the callback.
+     * @pre no edge of this signal is being dispatched: subscriptions
+     * are wiring, made before the simulation drives the wire (asserted
+     * in debug builds — a push_back mid-dispatch could reallocate the
+     * observer list under the inline callable that is executing).
      */
-    std::uint64_t subscribe(SignalObserver fn);
-
-    /**
-     * Remove a subscription. Safe against already-removed ids, and safe
-     * to call from inside an observer callback (including
-     * self-unsubscription): the entry stops receiving edges immediately
-     * but is physically erased only after the dispatch unwinds.
-     *
-     * "Immediately" includes the edge currently being dispatched: an
-     * observer unsubscribed by a peer observer that runs earlier in the
-     * same dispatch does NOT receive the in-flight edge.
-     */
-    void unsubscribe(std::uint64_t id);
+    void subscribe(SignalObserver fn);
 
     /** Number of rising edges seen so far (for stats/tests). */
     std::uint64_t risingEdges() const { return rising_; }
@@ -99,27 +85,17 @@ class Signal
     std::uint64_t fallingEdges() const { return falling_; }
 
   private:
-    struct Sub
-    {
-        std::uint64_t id; ///< 0 marks an entry unsubscribed mid-dispatch
-        SignalObserver fn;
-    };
-
     /** Apply an edge (no generation bump) and notify observers. */
     void applyEdge(bool v);
 
     Simulation &sim_;
     std::string name_;
     bool value_;
-    std::uint64_t nextSub_ = 1;
     Flow writes_; ///< a newer write supersedes any still in flight
     std::uint64_t rising_ = 0;
     std::uint64_t falling_ = 0;
-    std::vector<Sub> subs_;
-    /** Observers subscribed mid-dispatch, merged when dispatch unwinds. */
-    std::vector<Sub> pendingAdds_;
-    int dispatchDepth_ = 0;
-    bool pendingRemoval_ = false;
+    std::vector<SignalObserver> subs_;
+    int dispatchDepth_ = 0; ///< nesting of applyEdge (subscribe's check)
 };
 
 /**

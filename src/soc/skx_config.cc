@@ -10,28 +10,24 @@ SkxConfig::forPolicy(PackagePolicy policy)
       case PackagePolicy::Cshallow:
         // Vendor-recommended latency tuning: CC1 only, no package
         // C-states, no link power management, no DRAM power-down.
-        c.cstateMask = cpu::CStateMask::shallowOnly();
+        c.ladder.mask = cpu::CStateMask::shallowOnly();
         c.gpmu.pc6Enabled = false;
         c.apc.enabled = false;
         break;
       case PackagePolicy::Cdeep:
         // Everything on (powertop --auto-tune): CC6 reachable, PC6
         // reachable once all cores are in CC6.
-        c.cstateMask = cpu::CStateMask::allEnabled();
+        c.ladder.mask = cpu::CStateMask::allEnabled();
         c.gpmu.pc6Enabled = true;
         c.apc.enabled = false;
         break;
       case PackagePolicy::Cpc1a:
         // The paper's proposal: the Cshallow baseline plus APC.
-        c.cstateMask = cpu::CStateMask::shallowOnly();
+        c.ladder.mask = cpu::CStateMask::shallowOnly();
         c.gpmu.pc6Enabled = false;
         c.apc.enabled = true;
         break;
     }
-    c.ladder.mask = c.cstateMask;
-    c.menu.mask = c.cstateMask;
-    for (std::size_t i = 0; i < cpu::kNumCStates; ++i)
-        c.menu.params[i] = c.core.cstates[i];
     return c;
 }
 

@@ -46,9 +46,6 @@ policyName(PackagePolicy p)
     return "?";
 }
 
-/** Idle governor flavour. */
-enum class GovernorKind { Ladder, Menu };
-
 /** Whole-SoC configuration. */
 struct SkxConfig
 {
@@ -56,10 +53,8 @@ struct SkxConfig
     int numMemCtrls = 2;
 
     cpu::CoreConfig core = cpu::CoreConfig::skxDefaults();
-    cpu::CStateMask cstateMask = cpu::CStateMask::shallowOnly();
-    GovernorKind governor = GovernorKind::Ladder;
+    /** Idle governor; `ladder.mask` is the set of enabled core C-states. */
     cpu::LadderGovernor::Config ladder{};
-    cpu::MenuGovernor::Config menu{};
 
     uncore::ClmConfig clm{};
     power::PllConfig pll{};

@@ -4,21 +4,13 @@
 
 namespace apc::soc {
 
-std::unique_ptr<cpu::IdleGovernor>
-makeGovernor(const SkxConfig &cfg)
-{
-    if (cfg.governor == GovernorKind::Menu)
-        return std::make_unique<cpu::MenuGovernor>(cfg.menu);
-    return std::make_unique<cpu::LadderGovernor>(cfg.ladder);
-}
-
 Soc::Soc(sim::Simulation &sim, const SkxConfig &cfg, PackagePolicy policy)
     : sim_(sim), cfg_(cfg), policy_(policy), meter_(sim), rapl_(meter_),
       pkgResidency_(static_cast<std::size_t>(PkgState::Pc0), sim.now())
 {
     for (int i = 0; i < cfg_.numCores; ++i)
         cores_.push_back(std::make_unique<cpu::Core>(
-            sim, meter_, i, cfg_.core, makeGovernor(cfg_)));
+            sim, meter_, i, cfg_.core, cpu::LadderGovernor(cfg_.ladder)));
 
     for (const auto &lc : cfg_.links)
         links_.push_back(std::make_unique<io::IoLink>(sim, meter_, lc));

@@ -146,9 +146,6 @@ class Soc
     sim::WaitList<> fabricWaiters_;
 };
 
-/** Build a governor instance per the configuration. */
-std::unique_ptr<cpu::IdleGovernor> makeGovernor(const SkxConfig &cfg);
-
 } // namespace apc::soc
 
 #endif // APC_SOC_SOC_H

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the CPU core C-state model and idle governors.
+ * Unit tests for the CPU core C-state model and the idle governor.
  */
 
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ makeCore(sim::Simulation &s, power::EnergyMeter &m,
     g.cc1ToCc1e = promote1;
     g.cc1eToCc6 = promote2;
     return std::make_unique<Core>(s, m, 0, CoreConfig::skxDefaults(),
-                                  std::make_unique<LadderGovernor>(g));
+                                  LadderGovernor(g));
 }
 
 TEST(CoreConfig, SkxDefaultsMatchCalibration)
@@ -233,43 +233,6 @@ TEST(LadderGovernor, ShallowMaskNeverPromotes)
     LadderGovernor g(LadderGovernor::Config{});
     CState next;
     EXPECT_EQ(g.promoteAfter(CState::CC1, next), sim::kTickNever);
-}
-
-TEST(MenuGovernor, PicksDeepestFittingState)
-{
-    MenuGovernor::Config cfg;
-    cfg.mask = CStateMask::allEnabled();
-    const auto core_cfg = CoreConfig::skxDefaults();
-    for (std::size_t i = 0; i < kNumCStates; ++i)
-        cfg.params[i] = core_cfg.cstates[i];
-    cfg.initialPrediction = 1 * sim::kMs; // > CC6 target residency
-    MenuGovernor g(cfg);
-    EXPECT_EQ(g.initialState(), CState::CC6);
-}
-
-TEST(MenuGovernor, ShortPredictionStaysShallow)
-{
-    MenuGovernor::Config cfg;
-    cfg.mask = CStateMask::allEnabled();
-    const auto core_cfg = CoreConfig::skxDefaults();
-    for (std::size_t i = 0; i < kNumCStates; ++i)
-        cfg.params[i] = core_cfg.cstates[i];
-    cfg.initialPrediction = 5 * kUs;
-    MenuGovernor g(cfg);
-    EXPECT_EQ(g.initialState(), CState::CC1);
-}
-
-TEST(MenuGovernor, EwmaAdapts)
-{
-    MenuGovernor::Config cfg;
-    cfg.mask = CStateMask::allEnabled();
-    cfg.initialPrediction = 1 * sim::kMs;
-    cfg.ewmaAlpha = 0.5;
-    MenuGovernor g(cfg);
-    for (int i = 0; i < 20; ++i)
-        g.recordIdle(10 * kUs);
-    EXPECT_LT(g.predictedIdle(), 11 * kUs);
-    EXPECT_GE(g.predictedIdle(), 10 * kUs);
 }
 
 TEST(CStateMask, DeepestHelper)

@@ -47,91 +47,16 @@ TEST(Signal, ObserverReceivesNewLevel)
     EXPECT_EQ(seen, (std::vector<bool>{true, false}));
 }
 
-TEST(Signal, Unsubscribe)
+// Subscriptions are wiring: subscribing from inside an observer would
+// push_back into the observer list while one of its inline callables is
+// executing, so debug builds reject it.
+TEST(SignalDeathTest, SubscribeDuringDispatchAsserts)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     Simulation s;
     Signal w(s, "w");
-    int calls = 0;
-    auto id = w.subscribe([&](bool) { ++calls; });
-    w.set();
-    w.unsubscribe(id);
-    w.clear();
-    EXPECT_EQ(calls, 1);
-}
-
-// Regression: subscribe() during dispatch used to push_back into the
-// observer vector, which could reallocate the storage of the inline
-// callable currently executing (heap-use-after-free under ASan). The
-// subscribing observer must still be able to read its captures after
-// growing the list by far more than any vector growth factor.
-TEST(Signal, SubscribeManyDuringDispatchIsSafe)
-{
-    Simulation s;
-    Signal w(s, "w");
-    int late_calls = 0;
-    std::uint64_t captured = 0xfeedface;
-    std::uint64_t seen = 0;
-    w.subscribe([&](bool) {
-        for (int i = 0; i < 100; ++i)
-            w.subscribe([&](bool) { ++late_calls; });
-        seen = captured; // would read freed memory pre-fix
-    });
-    w.set();
-    EXPECT_EQ(seen, 0xfeedfaceu);
-    // The 100 mid-dispatch subscribers missed the edge being dispatched…
-    EXPECT_EQ(late_calls, 0);
-    // …but are merged once dispatch unwinds and see the next edge.
-    w.clear();
-    EXPECT_EQ(late_calls, 100);
-}
-
-TEST(Signal, SubscribeThenUnsubscribeDuringDispatchNeverFires)
-{
-    Simulation s;
-    Signal w(s, "w");
-    int calls = 0;
-    w.subscribe([&](bool) {
-        auto id = w.subscribe([&](bool) { ++calls; });
-        w.unsubscribe(id); // still parked in pendingAdds_
-    });
-    w.set();
-    w.clear();
-    EXPECT_EQ(calls, 0);
-}
-
-// Documents the dispatch semantics (changed from the old copy-based
-// dispatch): an observer unsubscribed by an earlier peer in the same
-// dispatch does not receive the in-flight edge.
-TEST(Signal, PeerUnsubscribedDuringDispatchSkipsInFlightEdge)
-{
-    Simulation s;
-    Signal w(s, "w");
-    int peer_calls = 0;
-    std::uint64_t peer_id = 0;
-    w.subscribe([&](bool) { w.unsubscribe(peer_id); });
-    peer_id = w.subscribe([&](bool) { ++peer_calls; });
-    w.set();
-    EXPECT_EQ(peer_calls, 0);
-    w.clear();
-    EXPECT_EQ(peer_calls, 0);
-}
-
-TEST(Signal, SelfUnsubscribeDuringDispatch)
-{
-    Simulation s;
-    Signal w(s, "w");
-    int calls = 0;
-    std::uint64_t id = 0;
-    id = w.subscribe([&](bool) {
-        ++calls;
-        w.unsubscribe(id); // one-shot observer
-    });
-    int other = 0;
-    w.subscribe([&](bool) { ++other; });
-    w.set();
-    w.clear();
-    EXPECT_EQ(calls, 1);
-    EXPECT_EQ(other, 2);
+    w.subscribe([&w](bool) { w.subscribe([](bool) {}); });
+    EXPECT_DEBUG_DEATH(w.set(), "subscribe during dispatch");
 }
 
 TEST(Signal, WriteAfterAppliesAtDelay)

@@ -102,8 +102,8 @@ TEST(Soc, PoliciesDifferOnlyWhereExpected)
     EXPECT_FALSE(pa.gpmu.pc6Enabled);
     EXPECT_FALSE(sh.apc.enabled);
     EXPECT_TRUE(pa.apc.enabled);
-    EXPECT_FALSE(sh.cstateMask.isEnabled(cpu::CState::CC6));
-    EXPECT_TRUE(dp.cstateMask.isEnabled(cpu::CState::CC6));
+    EXPECT_FALSE(sh.ladder.mask.isEnabled(cpu::CState::CC6));
+    EXPECT_TRUE(dp.ladder.mask.isEnabled(cpu::CState::CC6));
     // The power calibration itself is shared.
     EXPECT_DOUBLE_EQ(sh.clm.dynWatts, pa.clm.dynWatts);
     EXPECT_DOUBLE_EQ(sh.mc.dramIdleWatts, dp.mc.dramIdleWatts);

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the tracing module (analysis/trace.h) and trace-replayed
- * arrivals (workload/trace_arrivals.h).
+ * Tests for the tracing module (analysis/trace.h).
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +9,10 @@
 #include <cstdio>
 
 #include "analysis/trace.h"
-#include "workload/trace_arrivals.h"
 
 namespace apc {
 namespace {
 
-using sim::kMs;
 using sim::kNs;
 using sim::kUs;
 
@@ -121,70 +118,6 @@ TEST(TraceRecorder, PerCoreTracingOptIn)
     s.runUntil(10 * kUs);
     EXPECT_EQ(quiet.countKind("core"), 0u);
     EXPECT_EQ(verbose.countKind("core"), soc.numCores());
-}
-
-TEST(TraceArrivals, ReplaysGapsExactly)
-{
-    sim::Rng rng(1);
-    workload::TraceArrivals t({10 * kUs, 25 * kUs, 100 * kUs}, false);
-    EXPECT_EQ(t.nextGap(rng), 10 * kUs);
-    EXPECT_EQ(t.nextGap(rng), 15 * kUs);
-    EXPECT_EQ(t.nextGap(rng), 75 * kUs);
-    EXPECT_EQ(t.nextGap(rng), sim::kTickNever);
-    EXPECT_TRUE(t.exhausted());
-}
-
-TEST(TraceArrivals, LoopsWithPeriod)
-{
-    sim::Rng rng(1);
-    workload::TraceArrivals t({10 * kUs, 30 * kUs}, true);
-    EXPECT_EQ(t.nextGap(rng), 10 * kUs);
-    EXPECT_EQ(t.nextGap(rng), 20 * kUs);
-    // Wraps: replays from zero again.
-    EXPECT_EQ(t.nextGap(rng), 10 * kUs);
-    EXPECT_EQ(t.nextGap(rng), 20 * kUs);
-    EXPECT_FALSE(t.exhausted());
-}
-
-TEST(TraceArrivals, RateFromTrace)
-{
-    workload::TraceArrivals t(
-        {100 * kUs, 200 * kUs, 300 * kUs, 400 * kUs, 1 * kMs}, true);
-    EXPECT_NEAR(t.ratePerSec(), 5 / 1e-3, 1e-6);
-}
-
-TEST(TraceArrivals, SynthesizeMatchesSourceRate)
-{
-    sim::Rng rng(7);
-    workload::PoissonArrivals p(50000.0);
-    const auto trace =
-        workload::TraceArrivals::synthesize(p, rng, 1 * sim::kSec);
-    EXPECT_NEAR(static_cast<double>(trace.size()), 50000.0, 1500.0);
-    for (std::size_t i = 1; i < trace.size(); ++i)
-        EXPECT_GE(trace[i], trace[i - 1]);
-}
-
-TEST(TraceArrivals, FileRoundTrip)
-{
-    const std::string path = "/tmp/apc_test_trace.txt";
-    const std::vector<sim::Tick> arrivals = {1 * kUs, 500 * kUs, 2 * kMs};
-    ASSERT_TRUE(workload::TraceArrivals::toFile(path, arrivals));
-    auto t = workload::TraceArrivals::fromFile(path, false);
-    ASSERT_EQ(t.size(), 3u);
-    sim::Rng rng(1);
-    EXPECT_EQ(t.nextGap(rng), 1 * kUs);
-    EXPECT_EQ(t.nextGap(rng), 499 * kUs);
-    EXPECT_EQ(t.nextGap(rng), 1500 * kUs);
-    std::remove(path.c_str());
-}
-
-TEST(TraceArrivals, MissingFileYieldsEmptyTrace)
-{
-    auto t = workload::TraceArrivals::fromFile(
-        "/nonexistent/apc_trace.txt");
-    EXPECT_EQ(t.size(), 0u);
-    sim::Rng rng(1);
-    EXPECT_EQ(t.nextGap(rng), sim::kTickNever);
 }
 
 } // namespace
