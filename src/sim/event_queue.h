@@ -5,9 +5,7 @@
  * Events are (time, sequence, callback) triples; the monotonically
  * increasing sequence number makes same-tick ordering deterministic
  * (FIFO among events scheduled for the same tick). The firing order is
- * the total order by (when, seq) regardless of which internal container
- * an event lands in, so results are bit-identical to a plain binary
- * heap.
+ * the total order by (when, seq).
  *
  * The implementation is built for the fleet-sweep hot path (millions of
  * short-horizon timers per run):
@@ -18,13 +16,11 @@
  *    `shared_ptr` heap allocation. Slots are recycled through a free
  *    list.
  *
- *  - **Near-future timer wheel.** Events within ~2 ms of the wheel
- *    window land in one of 2048 ~1 µs buckets and bypass the binary
- *    heap entirely; a bucket is sorted once when the queue advances
- *    into it. Far-future events (and events landing in an
- *    already-consumed bucket) fall back to the heap. This absorbs the
- *    common short timers — C-state hysteresis, rx-usecs coalescing,
- *    RTO, cap sampling — at O(1) push instead of O(log n) heap churn.
+ *  - **One binary min-heap** of 24-byte (when, seq, slot) refs orders
+ *    the pending events. A simulated server holds few at once (21–50
+ *    at its peak, averaged over the servers of each perfbench
+ *    workload), so a 2048-bucket near-future timer wheel took only
+ *    15–51% of the schedules and cost ~100 KB per server.
  *
  * Every scheduled event fires. A component abandons one by guarding it
  * with a `sim::Flow` (sim/callback.h) and restarting the flow, which
@@ -36,7 +32,6 @@
 #ifndef APC_SIM_EVENT_QUEUE_H
 #define APC_SIM_EVENT_QUEUE_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -60,15 +55,6 @@ using EventFn = InplaceFunction<void(), 64>;
 class EventQueue
 {
   public:
-    /** Wheel bucket width: 2^20 ps ≈ 1.05 µs. */
-    static constexpr int kBucketShift = 20;
-    static constexpr Tick kBucketTicks = Tick(1) << kBucketShift;
-    /** Bucket count (power of two for mask indexing). */
-    static constexpr std::size_t kNumBuckets = 2048;
-    /** Wheel horizon: events beyond it go to the heap (~2.1 ms). */
-    static constexpr Tick kWheelSpan =
-        kBucketTicks * static_cast<Tick>(kNumBuckets);
-
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
@@ -118,7 +104,7 @@ class EventQueue
     bool step();
 
     /** Number of scheduled events that have not fired yet. */
-    std::size_t pendingEvents() const { return live_; }
+    std::size_t pendingEvents() const { return heap_.size(); }
 
     /** Total events executed since construction (stale ones included). */
     std::uint64_t executedEvents() const { return executed_; }
@@ -126,9 +112,13 @@ class EventQueue
     /** Allocated record-pool slots (high-water mark of pendingEvents). */
     std::size_t poolCapacity() const { return records_.size(); }
 
-    /** Events that entered through the timer wheel / the binary heap. */
-    std::uint64_t wheelScheduled() const { return wheelScheduled_; }
-    std::uint64_t heapScheduled() const { return heapScheduled_; }
+    /**
+     * Events scheduled since construction, split by the container they
+     * entered: every event enters the heap, so wheelScheduled() is 0.
+     * Kept for the census readers that still ask for the split.
+     */
+    std::uint64_t wheelScheduled() const { return 0; }
+    std::uint64_t heapScheduled() const { return nextSeq_; }
 
   private:
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
@@ -140,7 +130,7 @@ class EventQueue
         std::uint32_t nextFree = kNoSlot;
     };
 
-    /** Lightweight entry stored in the wheel buckets and the heap. */
+    /** Lightweight entry stored in the heap. */
     struct Ref
     {
         Tick when;
@@ -160,61 +150,25 @@ class EventQueue
         }
     };
 
-    static std::size_t
-    bucketIndex(Tick when)
-    {
-        return static_cast<std::size_t>(when >> kBucketShift) &
-            (kNumBuckets - 1);
-    }
-
     /**
      * Allocate a record, assign its sequence number, and place the
-     * (when, seq, slot) ref in the wheel or heap. The caller fills in
-     * the callable. @return the record slot.
+     * (when, seq, slot) ref on the heap. The caller fills in the
+     * callable. @return the record slot.
      */
     std::uint32_t prepareSchedule(Tick when);
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t slot);
-    void loadNextBucket();
-    /** Circular bucket distance from @p from to the next bucket whose
-     *  occupancy bit is set (1 when the bitmap is clean). */
-    std::size_t nextOccupiedDistance(std::size_t from) const;
-    bool prepareNext();
-    bool takeNext(Ref &out);
-    bool peekWhen(Tick &when);
 
     std::vector<Record> records_;
     std::uint32_t freeHead_ = kNoSlot;
 
-    /** Far-future / already-consumed-bucket events, min-heap by (when, seq). */
+    /** Pending events, min-heap by (when, seq). */
     std::vector<Ref> heap_;
-
-    /** Near-future wheel. Buckets hold unsorted refs until consumed. */
-    std::array<std::vector<Ref>, kNumBuckets> buckets_;
-    /**
-     * Bucket-occupancy bitmap (bit = bucket is non-empty). Lets a
-     * sparse advance jump straight to the next occupied bucket instead
-     * of stepping empty ones — a fleet of mostly-idle servers advanced
-     * in ~200 µs epochs otherwise walks ~200 empty buckets per server
-     * per epoch. A bit is set on push and cleared when its bucket is
-     * loaded.
-     */
-    std::array<std::uint64_t, kNumBuckets / 64> occupied_{};
-    std::size_t wheelCount_ = 0;
-    /** Start tick of the first not-yet-consumed bucket (bucket-aligned). */
-    Tick wheelNext_ = 0;
-
-    /** The bucket being drained: sorted by (when, seq), consumed in order. */
-    std::vector<Ref> run_;
-    std::size_t runPos_ = 0;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
-    std::size_t live_ = 0;
-    std::uint64_t wheelScheduled_ = 0;
-    std::uint64_t heapScheduled_ = 0;
 };
 
 } // namespace apc::sim

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <deque>
 #include <string>
 #include <vector>
@@ -18,6 +20,9 @@
 
 namespace apc::sim {
 namespace {
+
+/** Horizon of the churn tests: 2^31 ps, about 2.1 ms. */
+constexpr Tick kChurnSpan = Tick(1) << 31;
 
 TEST(Time, UnitConstants)
 {
@@ -167,74 +172,152 @@ TEST(EventQueue, RestartAfterFireIsHarmless)
     EXPECT_EQ(fired, 2);
 }
 
-TEST(EventQueue, SameTickFifoAcrossWheelAndHeap)
+TEST(EventQueue, SameTickFifoForEventsScheduledWhileDraining)
 {
-    // An event landing in the *current* (already-loaded) wheel bucket
-    // goes to the binary heap while its same-tick sibling sits in the
-    // sorted bucket run; FIFO order by sequence number must still hold
-    // across the two containers.
+    // Events scheduled for a tick while the queue is already draining
+    // events (of that tick or an earlier one) queue behind every event
+    // that was pending for the tick: FIFO by sequence number.
     EventQueue q;
-    const Tick target = EventQueue::kBucketTicks + 100;
+    const Tick target = kUs + 100;
     std::vector<int> order;
-    q.scheduleAt(target, [&] { order.push_back(0); });      // via wheel
+    q.scheduleAt(target, [&] {
+        order.push_back(0);
+        q.scheduleAt(target, [&] { order.push_back(3); });
+    });
     q.scheduleAt(target - 50, [&] {
-        // Running inside target's bucket: these same-tick events take
-        // the heap path (their bucket has already been consumed).
         q.scheduleAt(target, [&] { order.push_back(1); });
         q.scheduleAt(target, [&] { order.push_back(2); });
     });
     q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST(EventQueue, WheelHeapBoundaryCrossings)
+TEST(EventQueue, OrdersHorizonsFromOneTickToMilliseconds)
 {
-    // Events straddling the wheel horizon (± a few buckets) must fire
-    // in global time order regardless of container.
+    // Horizons from one tick to 3x kChurnSpan, scheduled out of order
+    // and with duplicate ticks, fire in (when, seq) order.
     EventQueue q;
-    std::vector<Tick> fired;
-    const Tick span = EventQueue::kWheelSpan;
+    std::vector<std::pair<Tick, int>> fired;
     const std::vector<Tick> whens = {
-        span - 2 * EventQueue::kBucketTicks, // wheel
-        span + 7,                            // heap (beyond horizon)
-        5,                                   // wheel, first bucket
-        span - 1,                            // wheel, last bucket
-        span,                                // heap (exactly horizon)
-        3 * span + 11,                       // deep heap
-        span + 7,                            // duplicate tick, FIFO
+        kChurnSpan - 2 * kUs, kChurnSpan + 7, 5,  1,
+        kChurnSpan - 1,       kChurnSpan,     kUs, 3 * kChurnSpan,
+        3 * kChurnSpan - 1,   kChurnSpan + 7, 1,  3 * kChurnSpan,
     };
-    for (Tick w : whens)
-        q.scheduleAt(w, [&fired, &q] { fired.push_back(q.now()); });
-    EXPECT_GT(q.wheelScheduled(), 0u);
-    EXPECT_GT(q.heapScheduled(), 0u);
+    std::vector<std::pair<Tick, int>> expect;
+    for (int id = 0; id < static_cast<int>(whens.size()); ++id) {
+        const Tick w = whens[static_cast<std::size_t>(id)];
+        expect.emplace_back(w, id);
+        q.scheduleAt(w, [&fired, &q, id] { fired.emplace_back(q.now(), id); });
+    }
     q.runAll();
-    std::vector<Tick> expect = whens;
-    std::sort(expect.begin(), expect.end());
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
     EXPECT_EQ(fired, expect);
 }
 
-TEST(EventQueue, FarFutureEventsReenterWheelWindow)
+TEST(EventQueue, ShortTimerAfterLongQuietGap)
 {
-    // After a long quiet gap the wheel window resyncs to now(), so
-    // short-horizon timers scheduled from a far-future event still take
-    // the wheel path.
     EventQueue q;
-    const Tick far = 10 * EventQueue::kWheelSpan + 123;
+    const Tick far = 10 * kChurnSpan + 123;
     bool inner = false;
-    q.scheduleAt(far, [&] {
-        const auto before = q.wheelScheduled();
-        q.scheduleAfter(100, [&] { inner = true; });
-        EXPECT_EQ(q.wheelScheduled(), before + 1);
-    });
+    q.scheduleAt(far, [&] { q.scheduleAfter(100, [&] { inner = true; }); });
     q.runAll();
     EXPECT_TRUE(inner);
     EXPECT_EQ(q.now(), far + 100);
 }
 
+TEST(EventQueue, FiresInWhenSeqOrderUnderRandomChurn)
+{
+    // Differential check against the definition of the firing order.
+    // Every schedule is logged in call order, which is sequence order,
+    // so the fire log must equal the schedule log stable-sorted by
+    // `when`. Schedules come from the driver loop, from callbacks and
+    // from re-arms after a flow restart, with horizons from 1 ns to
+    // 10 ms, and runUntil interleaves with them. Stale events fire too
+    // (as no-ops), so they are logged like the rest.
+    struct Churn
+    {
+        Rng rng{31};
+        EventQueue q;
+        std::array<Flow, 4> flows;
+        std::vector<std::pair<Tick, int>> scheduled;
+        std::vector<std::pair<Tick, int>> fired;
+
+        /** Log-uniform over 1 ns..10 ms on a 1 ns grid, so ticks collide. */
+        Tick
+        horizon()
+        {
+            return kNs * static_cast<Tick>(std::pow(10.0, rng.uniform(0, 7)));
+        }
+
+        std::size_t
+        anyFlow()
+        {
+            return static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<int>(flows.size()) - 1));
+        }
+
+        void
+        schedule(Tick when, std::size_t flow)
+        {
+            const int id = static_cast<int>(scheduled.size());
+            scheduled.emplace_back(when, id);
+            q.scheduleAt(when, [this, id,
+                                body = flows[flow].guard([this] { onFire(); })]()
+                                   mutable {
+                fired.emplace_back(q.now(), id);
+                body();
+            });
+        }
+
+        /** Body of an event whose flow is still current. */
+        void
+        onFire()
+        {
+            const double u = rng.uniform();
+            if (u < 0.3) {
+                schedule(q.now() + horizon(), anyFlow());
+            } else if (u < 0.4) {
+                schedule(q.now(), anyFlow()); // same tick, behind the rest
+            } else if (u < 0.5) {
+                const std::size_t f = anyFlow();
+                flows[f].restart();
+                schedule(q.now() + horizon(), f);
+            }
+        }
+    } c;
+
+    for (int round = 0; round < 300; ++round) {
+        const int burst = static_cast<int>(c.rng.uniformInt(0, 40));
+        for (int i = 0; i < burst; ++i)
+            c.schedule(c.q.now() + c.horizon(), c.anyFlow());
+        if (round % 7 == 3) {
+            const std::size_t f = c.anyFlow();
+            c.flows[f].restart();
+            c.schedule(c.q.now() + c.horizon(), f);
+        }
+        c.q.runUntil(c.q.now() + c.horizon());
+        ASSERT_EQ(c.q.pendingEvents(), c.scheduled.size() - c.fired.size())
+            << "round " << round;
+    }
+    c.q.runAll();
+    EXPECT_EQ(c.q.pendingEvents(), 0u);
+    EXPECT_GT(c.fired.size(), 5000u);
+
+    std::vector<std::pair<Tick, int>> expect = c.scheduled;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(c.fired, expect);
+}
+
 TEST(EventQueue, RestartThenFireRaceSameTick)
 {
     // An event restarting the flow of a same-tick later event must win
-    // the race: the victim is already in a container but its body must
+    // the race: the victim is already queued but its body must
     // never run.
     EventQueue q;
     int fired = 0;
@@ -308,8 +391,7 @@ TEST(EventQueue, SeededChurnReplayWithRestartStorms)
             for (int i = 0; i < 200; ++i) {
                 const Tick d =
                     1 + rng.uniformInt(
-                            0, static_cast<int>(
-                                   2 * EventQueue::kWheelSpan / sim::kUs)) *
+                            0, static_cast<int>(2 * kChurnSpan / sim::kUs)) *
                             (sim::kUs / 4);
                 const int my = id++;
                 q.scheduleAfter(d, epoch.guard([&fired, &q, my] {
@@ -332,7 +414,7 @@ TEST(EventQueue, SeededChurnReplayWithRestartStorms)
 TEST(EventQueue, DeterministicUnderRandomizedChurn)
 {
     // Same seed => identical firing sequence, across a schedule/abandon
-    // mix that exercises wheel, heap and slot reuse. Each event has its
+    // mix that exercises deep heaps and slot reuse. Each event has its
     // own flow, so abandoning one leaves the others armed.
     auto run = [](std::uint64_t seed) {
         Rng rng(seed);
@@ -342,8 +424,8 @@ TEST(EventQueue, DeterministicUnderRandomizedChurn)
         int id = 0;
         for (int i = 0; i < 2000; ++i) {
             const Tick d = 1 + rng.uniformInt(
-                0, static_cast<int>(2 * EventQueue::kWheelSpan /
-                                    sim::kUs)) * (sim::kUs / 4);
+                0, static_cast<int>(2 * kChurnSpan / sim::kUs)) *
+                (sim::kUs / 4);
             const int my = id++;
             Flow &flow = flows.emplace_back();
             q.scheduleAfter(d, flow.guard([&fired, &q, my] {
