@@ -112,10 +112,6 @@ main()
         fc.health.enabled = observed && health_out && *health_out;
         if (fc.health.enabled)
             fc.health.slo.latencyThresholdUs = fc.sloUs;
-        if (fc.attribution.enabled)
-            // Segment spans are ~10 records per request; give the rings
-            // headroom so the spine doesn't wrap over a full demo run.
-            fc.trace.ringCapacity = std::size_t{1} << 22;
         fleet::FleetSim fleet(fc);
         reports[i] = fleet.run();
         report(fleet::dispatchName(kinds[i]), reports[i]);

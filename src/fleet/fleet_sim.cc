@@ -90,11 +90,7 @@ FleetSim::FleetSim(FleetConfig cfg)
                                static_cast<unsigned>(cfg_.numServers)))
 {
     assert(cfg_.numServers > 0);
-    // Attribution rides on the trace layer: the segment spans land in
-    // the same per-entity rings, so enabling it forces tracing on.
     attr_ = cfg_.attribution.enabled;
-    if (attr_)
-        cfg_.trace.enabled = true;
     servers_.reserve(cfg_.numServers);
     // Slots are sized once and never reallocated: the server hooks
     // installed below keep raw pointers into this vector.
@@ -113,15 +109,23 @@ FleetSim::FleetSim(FleetConfig cfg)
             sc.cap.enabled = true; // the allocator needs enforcement
         servers_.push_back(
             std::make_unique<server::ServerSim>(std::move(sc)));
+        if (attr_)
+            servers_.back()->enableAttribution();
         // The hooks fire inside advanceTo(), i.e. on the worker that
         // owns this slot for the phase — claim the writer role.
         using Stream = std::vector<StagedEvent> ShardSlot::*;
         const auto stage = [slot = &slots_[layout_.shardOf(i)],
                             srv = static_cast<std::uint32_t>(i)](
                                Stream stream) {
-            return [slot, srv, stream](std::uint64_t id, sim::Tick at) {
+            return [slot, srv, stream](std::uint64_t id, sim::Tick at,
+                                       const obs::ServerChain *chain) {
                 sim::RoleGuard own(slot->writer);
-                (slot->*stream).push_back({at, srv, id});
+                std::uint32_t ci = kNoChain;
+                if (chain && chain->charged) {
+                    ci = static_cast<std::uint32_t>(slot->chains.size());
+                    slot->chains.push_back(*chain);
+                }
+                (slot->*stream).push_back({at, srv, ci, id});
             };
         };
         servers_[i]->onCompletion(stage(&ShardSlot::completions));
@@ -143,7 +147,7 @@ FleetSim::FleetSim(FleetConfig cfg)
         for (std::size_t i = 0; i < servers_.size(); ++i) {
             tracer_->setEntityLabel(i + 1,
                                     "server " + std::to_string(i));
-            servers_[i]->enableTracing(tracer_->writer(i + 1), attr_);
+            servers_[i]->enableTracing(tracer_->writer(i + 1));
         }
     }
     if (cfg_.metrics.enabled && cfg_.metrics.interval <= 0) {
@@ -251,22 +255,49 @@ FleetSim::transit(sim::Tick at, std::size_t srv, sim::Tick &deliver,
 }
 
 void
-FleetSim::traceSendSegments(sim::Tick at, sim::Tick deliver,
-                            sim::Tick rto_wait, std::size_t srv,
-                            std::uint64_t id, bool response)
+FleetSim::segment(Flight &fl, std::uint64_t id, std::size_t srv,
+                  obs::Segment s, sim::Tick at, sim::Tick dur)
+{
+    if (fleetTrace_)
+        fleetTrace_->span(at, dur, obs::segmentTraceName(s),
+                          obs::Track::Segments, id,
+                          static_cast<double>(srv));
+    fl.chains.charge(static_cast<std::uint32_t>(srv), s, dur);
+}
+
+void
+FleetSim::sendSegments(Flight &fl, std::uint64_t id, sim::Tick at,
+                       sim::Tick deliver, sim::Tick rto_wait,
+                       std::size_t srv, bool response)
 {
     if (!attr_)
         return;
-    const auto sv = static_cast<double>(srv);
     if (rto_wait > 0)
-        fleetTrace_->span(at, rto_wait, obs::Name::SegRto,
-                          obs::Track::Segments, id, sv);
+        segment(fl, id, srv, obs::Segment::Rto, at, rto_wait);
     const sim::Tick wire = deliver - at - rto_wait;
     if (wire > 0)
-        fleetTrace_->span(at + rto_wait, wire,
-                          response ? obs::Name::SegXmitResp
-                                   : obs::Name::SegXmitReq,
-                          obs::Track::Segments, id, sv);
+        segment(fl, id, srv,
+                response ? obs::Segment::XmitResp : obs::Segment::XmitReq,
+                at + rto_wait, wire);
+}
+
+void
+FleetSim::mergeChain(Flight &fl, const StagedEvent &ev)
+{
+    if (ev.chain == kNoChain)
+        return;
+    ShardSlot &slot = slots_[layout_.shardOf(ev.srv)];
+    sim::RoleGuard own(slot.writer);
+    fl.chains.merge(ev.srv, slot.chains[ev.chain]);
+}
+
+void
+FleetSim::closeChains(const Flight &fl, std::uint64_t id)
+{
+    if (fl.e2e < 0)
+        attrib_.lost(fl.chains);
+    else
+        attrib_.finish(id, fl.arrival, fl.e2e, fl.chains);
 }
 
 void
@@ -278,32 +309,30 @@ FleetSim::scheduleInject(std::size_t srv, sim::Tick deliver,
 }
 
 bool
-FleetSim::routeReplica(sim::Tick at, sim::Tick service, std::size_t srv,
-                       std::uint64_t id)
+FleetSim::routeReplica(FlightMap::iterator it, sim::Tick at,
+                       std::size_t srv)
 {
     ++replicasDispatched_;
+    const std::uint64_t id = it->first;
+    Flight &fl = it->second;
     sim::Tick deliver, rto_wait;
     if (!transit(at, srv, deliver, rto_wait))
         return false;
-    if (attr_) {
-        if (fabric_) {
-            traceSendSegments(at, deliver, rto_wait, srv, id, false);
-        } else if (cfg_.networkLatency > 1) {
-            // Teleport mode: the constant RTT stands in for both
-            // transits. Split it so request + response halves sum to
-            // exactly networkLatency (integer additivity).
-            fleetTrace_->span(at, cfg_.networkLatency / 2,
-                              obs::Name::SegXmitReq,
-                              obs::Track::Segments, id,
-                              static_cast<double>(srv));
-        }
+    if (fabric_) {
+        sendSegments(fl, id, at, deliver, rto_wait, srv, false);
+    } else if (attr_ && cfg_.networkLatency > 1) {
+        // Teleport mode: the constant RTT stands in for both transits.
+        // Split it so request + response halves sum to exactly
+        // networkLatency (integer additivity).
+        segment(fl, id, srv, obs::Segment::XmitReq, at,
+                cfg_.networkLatency / 2);
     }
     {
         // Route stage runs single-threaded before the parallel phase.
         ShardSlot &slot = slots_[layout_.shardOf(srv)];
         sim::RoleGuard own(slot.writer);
         slot.injects.push_back(
-            {deliver, service, static_cast<std::uint32_t>(srv), id});
+            {deliver, fl.service, static_cast<std::uint32_t>(srv), id});
     }
     return true;
 }
@@ -464,7 +493,7 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
             f.attempts = 1;
             f.curSrv = static_cast<std::uint32_t>(srv);
             f.attemptAt = ev.at;
-            if (routeReplica(ev.at, ev.service, srv, id)) {
+            if (routeReplica(it, ev.at, srv)) {
                 ++f.remaining;
                 armTimeout(it, ev.at);
             } else if (cfg_.recovery.enabled) {
@@ -491,7 +520,7 @@ FleetSim::dispatchEpoch(sim::Tick from, sim::Tick to)
                 }
                 dispatcher_->onDispatch(srv);
                 dispatcher_->exclude(srv);
-                if (routeReplica(ev.at, ev.service, srv, id))
+                if (routeReplica(it, ev.at, srv))
                     ++f.remaining;
                 else
                     ++f.lost;
@@ -517,6 +546,8 @@ FleetSim::advanceShards(sim::Tick to)
                 ShardSlot &slot = slots_[sh];
                 // This worker owns the shard for the whole phase.
                 sim::RoleGuard own(slot.writer);
+                // The previous merge consumed the staged server chains.
+                slot.chains.clear();
                 // Scheduling the staged injections here — instead of
                 // at route time — pulls each server's event queue into
                 // cache exactly once per epoch, right before this same
@@ -600,6 +631,12 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
     Flight &fl = it->second;
     assert(!fl.resolved);
     fl.resolved = true;
+    // End-to-end: winning response at the client. Without a fabric
+    // the constant network RTT stands in.
+    const sim::Tick e2e =
+        done - fl.arrival + (fabric_ ? 0 : cfg_.networkLatency);
+    if (!lost)
+        fl.e2e = e2e;
     if (fleetTrace_) {
         // Client-observed request lifecycle (warmup included): span to
         // the winning response, or a loss marker.
@@ -607,11 +644,8 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
             fleetTrace_->instant(fl.arrival, obs::Name::Lost,
                                  obs::Track::Requests, it->first);
         else
-            fleetTrace_->span(fl.arrival,
-                              done - fl.arrival +
-                                  (fabric_ ? 0 : cfg_.networkLatency),
-                              obs::Name::Request, obs::Track::Requests,
-                              it->first);
+            fleetTrace_->span(fl.arrival, e2e, obs::Name::Request,
+                              obs::Track::Requests, it->first);
     }
     if (fl.measured) {
         if (lost) {
@@ -627,10 +661,7 @@ FleetSim::resolveFlight(FlightMap::iterator it, sim::Tick done,
             if (health_)
                 health_->slo().recordLost();
         } else {
-            // End-to-end: winning response at the client. Without a
-            // fabric the constant network RTT stands in.
-            const sim::Tick extra = fabric_ ? 0 : cfg_.networkLatency;
-            const double us = sim::toMicros(done - fl.arrival + extra);
+            const double us = sim::toMicros(e2e);
             ++completed_;
             latencyUs_.record(us);
             latencyHistUs_.record(us);
@@ -652,6 +683,8 @@ FleetSim::maybeEraseFlight(FlightMap::iterator it)
     // timeout entries look the flight up by id and tolerate absence.)
     if (!fl.resolved || fl.remaining > 0 || fl.retryPending)
         return;
+    if (attr_)
+        closeChains(fl, it->first);
     ++flightsFinished_;
     inFlight_.erase(it);
 }
@@ -718,6 +751,7 @@ FleetSim::drainAborts()
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
         Flight &fl = it->second;
+        mergeChain(fl, ev);
         --fl.remaining;
         const bool rec = cfg_.recovery.enabled && !fl.fanout;
         if (!rec) {
@@ -821,22 +855,21 @@ FleetSim::processRecovery(sim::Tick t1)
             dispatcher_->onDispatch(srv);
             ++failovers_;
             if (attr_) {
-                // Emit the full gap history valued at the new target:
-                // its replica chain then sums from the original
-                // dispatch, keeping the blame report additive.
+                // Charge the full gap history to the new target: its
+                // replica chain then sums from the original dispatch,
+                // keeping the blame report additive.
                 if (at > fl.lastFailAt)
                     fl.gaps.push_back(
                         {fl.lastFailAt, at - fl.lastFailAt, true});
                 for (const Flight::Gap &g : fl.gaps)
-                    fleetTrace_->span(g.at, g.dur,
-                                      g.backoff ? obs::Name::SegFailover
-                                                : obs::Name::SegTimeoutWait,
-                                      obs::Track::Segments, rt.second,
-                                      static_cast<double>(srv));
+                    segment(fl, rt.second, srv,
+                            g.backoff ? obs::Segment::Failover
+                                      : obs::Segment::TimeoutWait,
+                            g.at, g.dur);
             }
             fl.curSrv = static_cast<std::uint32_t>(srv);
             fl.attemptAt = at;
-            if (routeReplica(at, fl.service, srv, rt.second)) {
+            if (routeReplica(it, at, srv)) {
                 ++fl.remaining;
                 armTimeout(it, at);
             } else {
@@ -853,6 +886,7 @@ FleetSim::drainCompletions()
         const auto it = inFlight_.find(ev.id);
         assert(it != inFlight_.end());
         Flight &fl = it->second;
+        mergeChain(fl, ev);
         // First successful response resolves a recovery-managed flight
         // immediately — even one from a timed-out attempt that beat
         // its own failover (the client takes whichever answer lands
@@ -869,8 +903,8 @@ FleetSim::drainCompletions()
                 if (!single)
                     ++fl.lost;
             } else {
-                traceSendSegments(ev.at, tr.deliverAt, tr.rtoWait,
-                                  ev.srv, ev.id, true);
+                sendSegments(fl, ev.id, ev.at, tr.deliverAt, tr.rtoWait,
+                             ev.srv, true);
                 fl.lastDone = std::max(fl.lastDone, tr.deliverAt);
                 if (single && !fl.resolved)
                     resolveFlight(it, tr.deliverAt, false);
@@ -880,9 +914,8 @@ FleetSim::drainCompletions()
             const sim::Tick resp =
                 cfg_.networkLatency - cfg_.networkLatency / 2;
             if (attr_ && resp > 0)
-                fleetTrace_->span(ev.at, resp, obs::Name::SegXmitResp,
-                                  obs::Track::Segments, ev.id,
-                                  static_cast<double>(ev.srv));
+                segment(fl, ev.id, ev.srv, obs::Segment::XmitResp, ev.at,
+                        resp);
             fl.lastDone = std::max(fl.lastDone, ev.at);
             if (single && !fl.resolved)
                 resolveFlight(it, ev.at, false);
@@ -926,13 +959,12 @@ FleetSim::drainNicDrops(sim::Tick now_floor)
         // request's timeline; the fresh transit then adds its own
         // RTO/wire spans.
         if (attr_ && at > ev.at)
-            fleetTrace_->span(ev.at, at - ev.at, obs::Name::SegRto,
-                              obs::Track::Segments, ev.id,
-                              static_cast<double>(ev.srv));
+            segment(fl, ev.id, ev.srv, obs::Segment::Rto, ev.at,
+                    at - ev.at);
         sim::Tick deliver, rto_wait;
         if (transit(at, ev.srv, deliver, rto_wait)) {
-            traceSendSegments(at, deliver, rto_wait, ev.srv, ev.id,
-                              false);
+            sendSegments(fl, ev.id, at, deliver, rto_wait, ev.srv,
+                         false);
             scheduleInject(ev.srv, deliver, ev.id, fl.service);
         } else {
             giveUpReplica(it, ev.srv, ev.at);
@@ -1223,10 +1255,9 @@ FleetSim::writeTrace(const std::string &path) const
                      static_cast<unsigned long long>(drops));
     if (attr_) {
         // Flow arrows (client -> critical server -> client) ride along
-        // when attribution ran; built post-run from the same rings.
-        const obs::AttributionResult res = obs::buildAttribution(*tracer_);
+        // when attribution ran.
         const std::vector<obs::FlowEvent> flows =
-            obs::buildFlows(res, obs::kAttributionFlowLimit);
+            obs::buildFlows(attrib_.result(), obs::kAttributionFlowLimit);
         return tracer_->writePerfettoJson(path, &profiler_, &flows);
     }
     return tracer_->writePerfettoJson(path, &profiler_);
@@ -1373,9 +1404,18 @@ FleetSim::aggregate()
         rep.traceRecords = tracer_->totalRecorded();
         rep.traceDrops = tracer_->totalDropped();
     }
-    if (attr_)
+    if (attr_) {
+        // A resolved flight the drain left open (a stale attempt still
+        // inside a server) counts like an erased one.
+        // lint:allow(unordered-iteration) finalize() sorts the kept
+        // requests by (arrival, id); the rest are counts
+        for (const auto &[id, fl] : inFlight_)
+            if (fl.resolved)
+                closeChains(fl, id);
+        attrib_.finalize();
         rep.attribution = obs::LatencyAttribution::build(
-            obs::buildAttribution(*tracer_), obs::kAttributionSampleLimit);
+            attrib_.result(), obs::kAttributionSampleLimit);
+    }
     if (health_)
         rep.health = health_->report();
     return rep;

@@ -135,11 +135,13 @@ struct FleetConfig
     obs::MetricsConfig metrics;
 
     /**
-     * Per-request latency attribution (obs/attribution.h): segment
-     * instrumentation on every layer a request crosses plus the
-     * post-run blame report (FleetReport::attribution). Implies
-     * tracing. Pure observation, same contract as `trace`: reports
-     * are byte-identical with attribution on or off.
+     * Per-request latency attribution (obs/attribution.h): every layer
+     * a request crosses charges its segments as the request runs, and
+     * the blame report (FleetReport::attribution) keeps each finished
+     * request's critical chain. Independent of `trace` (a traced run
+     * also records the segment spans). Pure observation, same contract
+     * as `trace`: reports are byte-identical with attribution on or
+     * off.
      */
     obs::AttributionConfig attribution;
 
@@ -302,8 +304,9 @@ struct FleetReport
     std::vector<server::ServerResult> perServer;
 
     // Trace-ring health (zero unless tracing ran). Drops > 0 mean the
-    // export — and any attribution built on it — is missing the oldest
-    // records; raise TraceConfig::ringCapacity.
+    // Perfetto export is missing the oldest records; raise
+    // TraceConfig::ringCapacity. The blame report does not read the
+    // trace and is complete either way.
     std::uint64_t traceRecords = 0;
     std::uint64_t traceDrops = 0;
 
@@ -420,16 +423,19 @@ class FleetSim
         std::vector<std::pair<std::uint32_t, int>> triesBySrv;
         /** Servers whose attempt failed; failover never reuses one. */
         std::vector<std::uint32_t> failedSrv;
+        /** Client-observed latency once resolved; -1 when lost. */
+        sim::Tick e2e = -1;
         /** Timeout/backoff windows accumulated across attempts; the
-         *  whole history is re-emitted to each failover target so the
-         *  final server's chain sums from the original dispatch. */
+         *  whole history is charged again to each failover target so
+         *  the final server's chain sums from the original dispatch. */
         struct Gap
         {
             sim::Tick at = 0;
             sim::Tick dur = 0;
             bool backoff = false; ///< failover gap vs. timeout wait
         };
-        std::vector<Gap> gaps; ///< attribution runs only
+        std::vector<Gap> gaps;     ///< attribution runs only
+        obs::RequestChains chains; ///< attribution runs only
     };
 
     using FlightMap = std::unordered_map<std::uint64_t, Flight>;
@@ -438,19 +444,29 @@ class FleetSim
     void allocateBudgets(sim::Tick now);
     /** Phase 1: route the epoch's arrivals into per-shard buckets. */
     void dispatchEpoch(sim::Tick from, sim::Tick to);
-    /** @return false if the replica was lost in the fabric. */
-    bool routeReplica(sim::Tick at, sim::Tick service, std::size_t srv,
-                      std::uint64_t id);
+    /** Send one replica of @p it to @p srv at @p at. @return false if
+     *  it was lost in the fabric. */
+    bool routeReplica(FlightMap::iterator it, sim::Tick at,
+                      std::size_t srv);
     /** Fabric transit for one replica send; shared by first sends and
      *  NIC-drop resends. @return false if lost, else sets @p deliver
      *  and the RTO share of the transit (@p rto_wait). */
     bool transit(sim::Tick at, std::size_t srv, sim::Tick &deliver,
                  sim::Tick &rto_wait);
-    /** Attribution spans for one fabric transit: the RTO wait and the
-     *  wire time, on the fleet writer (server in `value`). */
-    void traceSendSegments(sim::Tick at, sim::Tick deliver,
-                           sim::Tick rto_wait, std::size_t srv,
-                           std::uint64_t id, bool response);
+    /** Charge one spine segment of request @p id's replica on @p srv
+     *  (attribution runs only), traced as a fleet-writer span with the
+     *  server in `value`. */
+    void segment(Flight &fl, std::uint64_t id, std::size_t srv,
+                 obs::Segment s, sim::Tick at, sim::Tick dur);
+    /** Segments of one fabric transit: the RTO wait and the wire
+     *  time. */
+    void sendSegments(Flight &fl, std::uint64_t id, sim::Tick at,
+                      sim::Tick deliver, sim::Tick rto_wait,
+                      std::size_t srv, bool response);
+    /** Add a staged outcome's server chain to its flight. */
+    void mergeChain(Flight &fl, const StagedEvent &ev);
+    /** Hand a resolved flight's chains to the collector. */
+    void closeChains(const Flight &fl, std::uint64_t id);
     /** Schedule one injection directly into @p srv's event queue. */
     void scheduleInject(std::size_t srv, sim::Tick deliver,
                         std::uint64_t id, sim::Tick service);
@@ -580,8 +596,9 @@ class FleetSim
     stats::Histogram latencyHistUs_{0.1, 1e7, 64};
 
     // --- telemetry (all pure observers of the simulation) ---
-    /** Attribution on: segment spans recorded, blame report built. */
+    /** Attribution on: segments charged, blame report built. */
     bool attr_ = false;
+    obs::AttributionCollector attrib_;
     std::unique_ptr<obs::Tracer> tracer_;
     /** Writer 0: fleet-spine events (request spans, budget counters). */
     obs::TraceWriter *fleetTrace_ = nullptr;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "obs/attribution.h"
 #include "sim/annotations.h"
 #include "sim/time.h"
 
@@ -74,11 +75,16 @@ struct ShardLayout
     std::size_t shardOf(std::size_t srv) const { return srv / shardSize; }
 };
 
-/** One staged server-side outcome (completion or RX drop). */
+/** StagedEvent::chain when the outcome carries no server chain. */
+inline constexpr std::uint32_t kNoChain = UINT32_MAX;
+
+/** One staged server-side outcome (completion, RX drop or abort). */
 struct StagedEvent
 {
     sim::Tick at;      ///< server-clock time of the outcome
     std::uint32_t srv; ///< producing server index
+    /** Index into the slot's `chains` (attribution), or kNoChain. */
+    std::uint32_t chain;
     std::uint64_t id;  ///< fleet request id
 };
 
@@ -106,9 +112,9 @@ struct PendingInject
 /**
  * Per-shard staging state. `injects` is filled by the single-threaded
  * router and consumed by the shard's worker; `completions`/`drops`/
- * `aborts` are appended by the shard's servers during an advance (via
- * their completion/drop/abort hooks) and drained by the single-threaded
- * merge.
+ * `aborts` (and the `chains` they point into) are appended by the
+ * shard's servers during an advance (via their completion/drop/abort
+ * hooks) and drained by the single-threaded merge.
  * Cache-line aligned so adjacent shards' slots never share a line
  * (the old per-server vector-of-vectors put buffers mutated by
  * different workers on the same line).
@@ -130,6 +136,9 @@ struct alignas(64) ShardSlot
     std::vector<StagedEvent> drops APC_GUARDED_BY(writer);
     /** Requests destroyed by a crash or refused by a non-Up server. */
     std::vector<StagedEvent> aborts APC_GUARDED_BY(writer);
+    /** Server chains carried by this epoch's completions and aborts
+     *  (attribution runs only); cleared when the next advance starts. */
+    std::vector<obs::ServerChain> chains APC_GUARDED_BY(writer);
 };
 
 } // namespace apc::fleet

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace apc::obs {
 
@@ -27,119 +25,64 @@ ReplicaPath::dominant() const
     return static_cast<Segment>(best);
 }
 
-AttributionResult
-buildAttribution(const Tracer &tracer)
+ReplicaPath &
+RequestChains::replica(std::uint32_t srv)
 {
-    AttributionResult res;
-    res.ringDropped = tracer.totalDropped();
+    for (ReplicaPath &r : replicas_)
+        if (r.srv == srv)
+            return r;
+    replicas_.push_back({srv, {}});
+    return replicas_.back();
+}
 
-    struct Pending
-    {
-        sim::Tick arrival = 0;
-        sim::Tick e2e = 0;
-        bool finished = false; ///< saw the end-to-end Request span
-        std::vector<ReplicaPath> replicas;
-    };
-    std::unordered_map<std::uint64_t, Pending> byId;
-    std::unordered_set<std::uint64_t> lost;
-    std::uint64_t segmentSpans = 0;
+void
+RequestChains::merge(std::uint32_t srv, const ServerChain &c)
+{
+    if (!c.charged)
+        return;
+    ReplicaPath &rp = replica(srv);
+    for (std::size_t i = 0; i < kNumSegments; ++i)
+        rp.seg[i] += c.seg[i];
+}
 
-    for (const Tracer::MergedRecord &m : tracer.merged()) {
-        const TraceRecord &r = *m.rec;
-        const auto kind = static_cast<TraceKind>(r.kind);
-        const auto name = static_cast<Name>(r.name);
-        if (kind == TraceKind::Span && name == Name::Request &&
-            m.writer == 0) {
-            Pending &p = byId[r.id];
-            p.arrival = r.ts;
-            p.e2e = r.dur;
-            p.finished = true;
-            continue;
-        }
-        if (kind == TraceKind::Instant && name == Name::Lost &&
-            m.writer == 0) {
-            lost.insert(r.id);
-            continue;
-        }
-        if (kind != TraceKind::Span)
-            continue;
-        const Segment seg = segmentFromTraceName(name);
-        if (seg == Segment::kCount)
-            continue;
-        ++segmentSpans;
-        // Fleet-spine spans name the server in `value`; a server
-        // writer's spans imply that server (writer i = server i-1).
-        const auto srv = m.writer == 0
-            ? static_cast<std::uint32_t>(r.value)
-            : m.writer - 1;
-        auto &replicas = byId[r.id].replicas;
-        auto it = std::find_if(
-            replicas.begin(), replicas.end(),
-            [srv](const ReplicaPath &rp) { return rp.srv == srv; });
-        if (it == replicas.end()) {
-            replicas.push_back({});
-            it = replicas.end() - 1;
-            it->srv = srv;
-        }
-        it->seg[static_cast<std::size_t>(seg)] += r.dur;
+void
+AttributionCollector::finish(std::uint64_t id, sim::Tick arrival,
+                             sim::Tick e2e, const RequestChains &chains)
+{
+    // The critical replica is the first one whose chain sums exactly
+    // to the client-observed latency. Under failover a stale attempt
+    // can keep charging after the winning response resolved the
+    // request, so its chain may exceed e2e: the slowest replica is not
+    // always the critical one.
+    const auto critical = std::find_if(
+        chains.replicas_.begin(), chains.replicas_.end(),
+        [e2e](const ReplicaPath &r) { return r.total() == e2e; });
+    if (critical == chains.replicas_.end()) {
+        ++res_.violations;
+        assert(!"attribution additivity violated");
+        return;
     }
+    res_.requests.push_back(
+        {id, arrival, e2e, *critical,
+         static_cast<std::uint32_t>(chains.replicas_.size())});
+}
 
-    // No segment instrumentation ran (plain tracing): nothing to
-    // attribute, and nothing to flag.
-    if (segmentSpans == 0)
-        return res;
+void
+AttributionCollector::lost(const RequestChains &chains)
+{
+    if (!chains.empty())
+        ++res_.lostExcluded;
+}
 
-    res.requests.reserve(byId.size());
-    // lint:allow(unordered-iteration) collection pass only; the result
-    // vector is sorted by stable request id below before any sink
-    for (auto &[id, p] : byId) {
-        if (lost.count(id)) {
-            ++res.lostExcluded;
-            continue;
-        }
-        if (!p.finished)
-            continue; // still in flight at trace end
-        RequestPath rp;
-        rp.id = id;
-        rp.arrival = p.arrival;
-        rp.e2e = p.e2e;
-        rp.replicas = std::move(p.replicas);
-        // The critical replica is the one whose chain sums exactly to
-        // the client-observed latency (leftmost on ties). Under
-        // failover a stale attempt can keep accumulating spans after
-        // the winning response resolved the request — its chain may
-        // exceed e2e — so "slowest" is only the fallback when no
-        // replica matches exactly.
-        sim::Tick worst = -1;
-        bool exact = false;
-        for (std::size_t i = 0; i < rp.replicas.size(); ++i) {
-            const sim::Tick t = rp.replicas[i].total();
-            if (!exact && t == rp.e2e) {
-                exact = true;
-                rp.critical = i;
-            } else if (!exact && t > worst) {
-                rp.critical = i;
-            }
-            worst = std::max(worst, t);
-        }
-        rp.additive = exact;
-        if (rp.additive) {
-            res.requests.push_back(std::move(rp));
-        } else if (res.ringDropped > 0) {
-            ++res.incomplete; // spans lost to ring wrap; chain flagged
-        } else {
-            ++res.violations;
-            assert(!"attribution additivity violated with no ring drops");
-        }
-    }
-
-    // Deterministic report order regardless of hash-map iteration.
-    std::sort(res.requests.begin(), res.requests.end(),
+void
+AttributionCollector::finalize()
+{
+    // Requests close in flight-erase order; report them by arrival.
+    std::sort(res_.requests.begin(), res_.requests.end(),
               [](const RequestPath &a, const RequestPath &b) {
                   return a.arrival != b.arrival ? a.arrival < b.arrival
                                                 : a.id < b.id;
               });
-    return res;
 }
 
 std::vector<FlowEvent>
@@ -150,7 +93,7 @@ buildFlows(const AttributionResult &res, std::size_t limit)
     flows.reserve(3 * n);
     for (std::size_t i = 0; i < n; ++i) {
         const RequestPath &rp = res.requests[i];
-        const ReplicaPath &cp = rp.criticalPath();
+        const ReplicaPath &cp = rp.critical;
         const sim::Tick serve_start = rp.arrival + rp.e2e -
             cp.seg[static_cast<std::size_t>(Segment::Serve)] -
             cp.seg[static_cast<std::size_t>(Segment::StallDvfs)] -

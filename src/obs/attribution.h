@@ -1,30 +1,38 @@
 /**
  * @file
- * Per-request tail-latency attribution over the trace layer.
+ * Per-request tail-latency attribution, accumulated while requests run.
  *
- * The simulator's instrumentation (fleet spine, servers, NICs) emits
- * one segment span per latency-relevant boundary a request crosses:
- * fabric transit, RTO retransmit waits, NIC RX-ring residency, the
+ * The simulator's instrumentation (fleet spine, servers) charges every
+ * latency-relevant interval a request crosses to one segment: fabric
+ * transit, RTO retransmit waits, NIC RX-ring residency, the
  * coalescing/IRQ DMA hold, the package C-state exit, dispatch-queue
  * wait, cap-induced stalls (idle-injection gate overlap and DVFS-clamp
- * dilation), service, and response transit. This module reassembles
- * those spans — post-run, from `Tracer::merged()` — into one causal
- * chain per (request, server) replica with the invariant that the
- * chain's segments **sum exactly** (integer ticks) to the replica's
- * client-observed latency; for fanout requests the slowest replica's
- * chain sums to the request's end-to-end latency.
+ * dilation), service, response transit, and the timeout/backoff gaps
+ * of failed-over attempts. Charges add up per (request, server)
+ * replica while the request is in flight:
  *
- * Writer convention (FleetSim's layout): writer 0 is the fleet spine —
- * its segment spans carry the target server in `value` — and writer
- * i >= 1 is server i-1. The invariant is checked per request; a
- * mismatch with zero ring drops is a bug (asserted in debug builds),
- * a mismatch with drops is the expected flag for an incomplete chain.
+ *  - a server sums its share of each live request in a `ServerChain`
+ *    and hands it to the fleet spine with the request's completion or
+ *    abort;
+ *  - the spine adds its own charges and the server shares into the
+ *    request's `RequestChains`;
+ *  - when the request's flight closes, `AttributionCollector` keeps
+ *    only its critical replica: the chain whose segments **sum
+ *    exactly** (integer ticks) to the client-observed latency. For a
+ *    fanout request that is the slowest replica.
+ *
+ * With tracing on, every charge is also recorded as a segment span on
+ * `Track::Segments` for the Perfetto export (writer 0 is the spine,
+ * with the server in `value`; writer i >= 1 is server i-1). The report
+ * never reads the trace, so it is the same at any ring capacity and
+ * with tracing off.
  */
 
 #ifndef APC_OBS_ATTRIBUTION_H
 #define APC_OBS_ATTRIBUTION_H
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "obs/tracer.h"
@@ -64,20 +72,13 @@ segmentTraceName(Segment s)
                              static_cast<std::uint32_t>(s));
 }
 
-/** Inverse of segmentTraceName; kCount when @p n is not a segment. */
-inline Segment
-segmentFromTraceName(Name n)
-{
-    const auto i = static_cast<std::uint32_t>(n) -
-        static_cast<std::uint32_t>(Name::SegXmitReq);
-    return i < kNumSegments ? static_cast<Segment>(i) : Segment::kCount;
-}
-
 /** Attribution setup (FleetConfig::attribution). */
 struct AttributionConfig
 {
-    /** Master switch: enables segment instrumentation and the post-run
-     *  blame report. Implies tracing (FleetSim forces trace.enabled). */
+    /** Master switch: charges every request's segments as it runs and
+     *  builds the blame report (FleetReport::attribution). Independent
+     *  of tracing; a traced run also records the segment spans. The
+     *  report keeps about 136 bytes per finished request. */
     bool enabled = false;
 };
 
@@ -88,7 +89,8 @@ inline constexpr std::size_t kAttributionSampleLimit = 256;
 /** Perfetto flow arrows emitted into FleetSim::writeTrace() exports. */
 inline constexpr std::size_t kAttributionFlowLimit = 256;
 
-/** One replica's reassembled causal chain. */
+/** One replica's causal chain: the segment ticks of one server's
+ *  attempt at a request, spine and server charges together. */
 struct ReplicaPath
 {
     std::uint32_t srv = 0;
@@ -107,45 +109,103 @@ struct ReplicaPath
     Segment dominant() const;
 };
 
-/** One attributed request (sorted by arrival for determinism). */
+/** One attributed request: its critical replica only. */
 struct RequestPath
 {
     std::uint64_t id = 0;
     sim::Tick arrival = 0;
-    sim::Tick e2e = 0; ///< measured client-observed latency (ticks)
-    std::vector<ReplicaPath> replicas;
-    std::size_t critical = 0; ///< index of the critical replica
-    bool additive = false;    ///< critical chain sums exactly to e2e
-
-    const ReplicaPath &criticalPath() const { return replicas[critical]; }
+    sim::Tick e2e = 0;           ///< client-observed latency (ticks)
+    ReplicaPath critical;        ///< sums exactly to e2e
+    std::uint32_t replicas = 0;  ///< replicas that charged a segment
 };
 
-/** The reassembled attribution for one run. */
+/** The attribution of one run. */
 struct AttributionResult
 {
-    /** Complete, additive requests, sorted by (arrival, id). */
-    std::vector<RequestPath> requests;
+    /** Additive requests, sorted by (arrival, id). A deque grows
+     *  without copying: a vector's doubling would briefly hold 1.5x
+     *  every finished request of the run. */
+    std::deque<RequestPath> requests;
     /** Requests excluded because a replica was dropped beyond retry
      *  (they never answered the client; no end-to-end latency). */
     std::uint64_t lostExcluded = 0;
-    /** Requests flagged because their chains mismatched while trace
-     *  rings had dropped records (spans lost to wrap). */
-    std::uint64_t incomplete = 0;
-    /** Chain mismatches with zero ring drops: additivity-invariant
-     *  violations. Always 0 in a correct build (debug-asserted). */
+    /** Requests with no replica chain summing to their latency:
+     *  additivity-invariant violations. Always 0 in a correct build
+     *  (asserted in debug builds). */
     std::uint64_t violations = 0;
-    /** Trace records lost to ring wrap across all writers. */
-    std::uint64_t ringDropped = 0;
 };
 
 /**
- * Reassemble per-request causal chains from @p tracer's merged record
- * stream (FleetSim writer convention; see file header). Requests with
- * no end-to-end `Request` span (still in flight at trace end) are
- * ignored. In debug builds, asserts that no chain mismatches its
- * measured latency unless ring drops explain the gap.
+ * A server's share of one live request: the ticks it charged to each
+ * segment. Plain data, so it can ride the fleet's staged completion
+ * and abort events without allocating.
  */
-AttributionResult buildAttribution(const Tracer &tracer);
+struct ServerChain
+{
+    sim::Tick seg[kNumSegments] = {};
+    bool charged = false;
+
+    void
+    add(Segment s, sim::Tick dur)
+    {
+        seg[static_cast<std::size_t>(s)] += dur;
+        charged = true;
+    }
+};
+
+/** The replica chains of one in-flight request (fleet spine side). */
+class RequestChains
+{
+  public:
+    /** Charge a fleet-spine interval to @p srv's replica. */
+    void
+    charge(std::uint32_t srv, Segment s, sim::Tick dur)
+    {
+        replica(srv).seg[static_cast<std::size_t>(s)] += dur;
+    }
+
+    /** Add server @p srv's share of its replica. */
+    void merge(std::uint32_t srv, const ServerChain &c);
+
+    /** No segment charged yet. */
+    bool empty() const { return replicas_.empty(); }
+
+  private:
+    friend class AttributionCollector;
+
+    /** @p srv's replica, created on its first charge. */
+    ReplicaPath &replica(std::uint32_t srv);
+
+    /** In first-charge order: when two replicas sum exactly to the
+     *  request's latency, the first one is critical. */
+    std::vector<ReplicaPath> replicas_;
+};
+
+/**
+ * Streaming attribution for one fleet run: keeps each closed
+ * request's critical replica.
+ */
+class AttributionCollector
+{
+  public:
+    /** The request answered the client after @p e2e ticks: keep its
+     *  critical replica (asserts in debug builds that one exists). */
+    void finish(std::uint64_t id, sim::Tick arrival, sim::Tick e2e,
+                const RequestChains &chains);
+
+    /** The request never answered the client: count it as excluded if
+     *  any segment was charged to it. */
+    void lost(const RequestChains &chains);
+
+    /** Sort the kept requests by (arrival, id); call once, after the
+     *  last finish(). */
+    void finalize();
+
+    const AttributionResult &result() const { return res_; }
+
+  private:
+    AttributionResult res_;
+};
 
 /**
  * Perfetto flow arrows for the first @p limit attributed requests:

@@ -1,7 +1,7 @@
 #include "obs/critpath.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "obs/fmt.h"
 #include "stats/rank.h"
@@ -34,9 +34,7 @@ LatencyAttribution::build(const AttributionResult &res,
     out.enabled = true;
     out.requests = res.requests.size();
     out.lostExcluded = res.lostExcluded;
-    out.incomplete = res.incomplete;
     out.violations = res.violations;
-    out.ringDropped = res.ringDropped;
 
     const std::size_t n = res.requests.size();
     if (n == 0)
@@ -44,20 +42,19 @@ LatencyAttribution::build(const AttributionResult &res,
 
     // Rank requests by end-to-end latency (ties broken by the already
     // deterministic arrival order) and cut the bands at exact ranks:
-    // ceil(n*p) requests lie at or below the p-quantile.
-    std::vector<std::uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&res](std::uint32_t a, std::uint32_t b) {
-                         return res.requests[a].e2e < res.requests[b].e2e;
-                     });
+    // ceil(n*p) requests lie at or below the p-quantile. The keys are
+    // copied out so the sort runs over contiguous pairs.
+    std::vector<std::pair<sim::Tick, std::uint32_t>> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = {res.requests[i].e2e, static_cast<std::uint32_t>(i)};
+    std::sort(order.begin(), order.end());
     const auto edges = stats::percentileBandEdges(n);
 
     for (std::size_t b = 0; b < kNumBands; ++b) {
         BlameBand &band = out.bands[b];
         for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
-            const RequestPath &rp = res.requests[order[r]];
-            const ReplicaPath &cp = rp.criticalPath();
+            const RequestPath &rp = res.requests[order[r].second];
+            const ReplicaPath &cp = rp.critical;
             ++band.count;
             band.e2eMeanUs += sim::toMicros(rp.e2e);
             for (std::size_t s = 0; s < kNumSegments; ++s)
@@ -72,8 +69,8 @@ LatencyAttribution::build(const AttributionResult &res,
     }
 
     for (const RequestPath &rp : res.requests) {
-        const ReplicaPath &cp = rp.criticalPath();
-        if (rp.replicas.size() > 1)
+        const ReplicaPath &cp = rp.critical;
+        if (rp.replicas > 1)
             ++out.fanoutRequests;
         ++out.criticalBySegment[static_cast<std::size_t>(cp.dominant())];
     }
@@ -82,11 +79,11 @@ LatencyAttribution::build(const AttributionResult &res,
     out.samples.reserve(keep);
     for (std::size_t i = 0; i < keep; ++i) {
         const RequestPath &rp = res.requests[i];
-        const ReplicaPath &cp = rp.criticalPath();
+        const ReplicaPath &cp = rp.critical;
         RequestSample s;
         s.id = rp.id;
         s.srv = cp.srv;
-        s.replicas = static_cast<std::uint32_t>(rp.replicas.size());
+        s.replicas = rp.replicas;
         s.e2eTicks = rp.e2e;
         for (std::size_t k = 0; k < kNumSegments; ++k)
             s.segTicks[k] = cp.seg[k];
@@ -178,12 +175,12 @@ LatencyAttribution::writeJson(std::FILE *out) const
         static_cast<unsigned long long>(fanoutRequests));
     put("  \"lost_excluded\": %llu,\n",
         static_cast<unsigned long long>(lostExcluded));
-    put("  \"incomplete\": %llu,\n",
-        static_cast<unsigned long long>(incomplete));
+    // Schema v1 keys: the report is charged as requests run and reads
+    // no trace records, so it has no broken chains and no drops.
+    put("  \"incomplete\": 0,\n");
     put("  \"violations\": %llu,\n",
         static_cast<unsigned long long>(violations));
-    put("  \"trace_drops\": %llu,\n",
-        static_cast<unsigned long long>(ringDropped));
+    put("  \"trace_drops\": 0,\n");
     put("  \"segments\": [");
     for (std::size_t s = 0; s < kNumSegments; ++s)
         put("%s\"%s\"", s ? ", " : "", segmentName(static_cast<Segment>(s)));

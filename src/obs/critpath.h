@@ -56,7 +56,7 @@ struct RequestSample
 
 /**
  * The blame report: `FleetReport::attribution`. Plain aggregation of
- * an AttributionResult; deterministic given the same trace.
+ * an AttributionResult; deterministic given the same run.
  */
 struct LatencyAttribution
 {
@@ -67,9 +67,7 @@ struct LatencyAttribution
     std::uint64_t requests = 0;       ///< attributed (complete) requests
     std::uint64_t fanoutRequests = 0; ///< of those, fanout (>1 replica)
     std::uint64_t lostExcluded = 0;
-    std::uint64_t incomplete = 0;
     std::uint64_t violations = 0;
-    std::uint64_t ringDropped = 0;
 
     BlameBand bands[kNumBands];
 

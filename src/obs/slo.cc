@@ -154,8 +154,12 @@ SloMonitor::windowP99(sim::Tick t1)
     }
     if (p99Scratch_.empty())
         return 0.0;
-    std::sort(p99Scratch_.begin(), p99Scratch_.end());
-    return stats::quantileSorted(p99Scratch_, 99, 100);
+    // One order statistic: select it instead of sorting the window.
+    const std::size_t k = std::max<std::size_t>(
+        1, stats::exactRankCount(p99Scratch_.size(), 99, 100));
+    const auto kth = p99Scratch_.begin() + static_cast<std::ptrdiff_t>(k - 1);
+    std::nth_element(p99Scratch_.begin(), kth, p99Scratch_.end());
+    return *kth;
 }
 
 void

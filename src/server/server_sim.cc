@@ -52,7 +52,7 @@ ServerSim::ServerSim(ServerConfig cfg)
             });
         nic_->onRxDrop([this](std::uint64_t id, sim::Tick at) {
             if (id != kNoRequestId && rxDropFn_)
-                rxDropFn_(id, at);
+                rxDropFn_(id, at, nullptr);
         });
     }
 }
@@ -93,11 +93,11 @@ ServerSim::inject(std::uint64_t id, sim::Tick service)
         // destroys the request on arrival — the abort hook tells the
         // owner so it can count the loss and fail the request over.
         if (id != kNoRequestId && abortFn_)
-            abortFn_(id, sim_.now());
+            abortFn_(id, sim_.now(), nullptr);
         return;
     }
     if (id != kNoRequestId)
-        liveIds_.push_back(id);
+        live_.push_back({id, {}});
     const sim::Tick svc =
         service > 0 ? service : service_->sample(sim_.rng());
     if (nic_)
@@ -109,12 +109,31 @@ ServerSim::inject(std::uint64_t id, sim::Tick service)
 void
 ServerSim::completeInjected(std::uint64_t id)
 {
-    const auto it = std::find(liveIds_.begin(), liveIds_.end(), id);
-    if (it == liveIds_.end())
+    const auto it = std::find_if(
+        live_.begin(), live_.end(),
+        [id](const LiveRequest &l) { return l.id == id; });
+    if (it == live_.end())
         return; // destroyed by a crash while the response was in flight
-    liveIds_.erase(it);
+    const obs::ServerChain chain = it->chain;
+    live_.erase(it);
     if (completionFn_)
-        completionFn_(id, sim_.now());
+        completionFn_(id, sim_.now(), attr_ ? &chain : nullptr);
+}
+
+void
+ServerSim::segment(std::uint64_t id, obs::Segment s, sim::Tick at,
+                   sim::Tick dur)
+{
+    if (trace_)
+        trace_->span(at, dur, obs::segmentTraceName(s),
+                     obs::Track::Segments, id);
+    const auto it = std::find_if(
+        live_.begin(), live_.end(),
+        [id](const LiveRequest &l) { return l.id == id; });
+    // A packet whose DMA was in flight when the server crashed is no
+    // longer live: its abort already carried the chain.
+    if (it != live_.end())
+        it->chain.add(s, dur);
 }
 
 void
@@ -155,7 +174,7 @@ ServerSim::crashNow()
     state_ = Lifecycle::Down;
     ++inc_;
     crashAt_ = sim_.now();
-    // Tear down the RX ring; its ids are already in liveIds_, so the
+    // Tear down the RX ring; its ids are already in live_, so the
     // sweep below reports them (internal arrivals carry no id).
     if (nic_)
         nic_->crashAbort();
@@ -170,11 +189,14 @@ ServerSim::crashNow()
     // Report the destroyed ids in id order: the fleet's merge re-sorts
     // anyway, but a deterministic emission order keeps any direct
     // consumer reproducible too.
-    std::sort(liveIds_.begin(), liveIds_.end());
+    std::sort(live_.begin(), live_.end(),
+              [](const LiveRequest &a, const LiveRequest &b) {
+                  return a.id < b.id;
+              });
     if (abortFn_)
-        for (const std::uint64_t id : liveIds_)
-            abortFn_(id, sim_.now());
-    liveIds_.clear();
+        for (const LiveRequest &l : live_)
+            abortFn_(l.id, sim_.now(), attr_ ? &l.chain : nullptr);
+    live_.clear();
 }
 
 void
@@ -189,6 +211,21 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
     // between the IRQ hold and the package wake the fabric wait below
     // represents.
     const sim::Tick dma_done = sim_.now();
+    if (attr_) {
+        // Each injected packet waited in the RX ring from its enqueue
+        // to the moderated interrupt, then rode the IRQ's DMA hold to
+        // completion.
+        for (const net::Nic::RxPacket &p : batch) {
+            if (p.id == kNoRequestId)
+                continue; // internal arrival, not fleet-attributed
+            if (irq_at > p.enqueuedAt)
+                segment(p.id, obs::Segment::NicRing, p.enqueuedAt,
+                        irq_at - p.enqueuedAt);
+            if (dma_done > irq_at)
+                segment(p.id, obs::Segment::IrqHold, irq_at,
+                        dma_done - irq_at);
+        }
+    }
     const std::uint32_t inc = inc_;
     soc_->whenFabricReady([this, batch = std::move(batch), irq_at,
                            dma_done, inc] {
@@ -206,12 +243,12 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
             if (p.enqueuedAt <= crashAt_)
                 continue;
             ++accepted_;
-            if (traceSeg_ && p.id != kNoRequestId && adm > dma_done)
+            if (attr_ && p.id != kNoRequestId && adm > dma_done)
                 // Every coalesced request pays the one shared package
                 // exit in its own timeline — that sharing is exactly
                 // what the moderation window buys.
-                trace_->span(dma_done, adm - dma_done, obs::Name::SegWake,
-                             obs::Track::Segments, p.id);
+                segment(p.id, obs::Segment::Wake, dma_done,
+                        adm - dma_done);
             // Latency counts from RX-ring arrival: the coalescing wait
             // is part of the request's end-to-end cost. Followers of
             // the batch share the leader's wake.
@@ -236,12 +273,11 @@ ServerSim::admit(Request r)
             if (r.inc != inc_)
                 return; // crashed while waking; already reported
             const sim::Tick adm = sim_.now();
-            if (traceSeg_ && r.id != kNoRequestId && adm > r.arrival)
+            if (attr_ && r.id != kNoRequestId && adm > r.arrival)
                 // No NIC model: the whole link transfer + fabric wait
                 // is the wake segment.
-                trace_->span(r.arrival, adm - r.arrival,
-                             obs::Name::SegWake, obs::Track::Segments,
-                             r.id);
+                segment(r.id, obs::Segment::Wake, r.arrival,
+                        adm - r.arrival);
             r.admitAt = adm;
             r.gateBase = gateClosedTotalAt(adm);
             assign(r);
@@ -295,7 +331,7 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         trace_->span(r.arrival, t0 - r.arrival, obs::Name::Wait,
                      obs::Track::Requests,
                      r.id == kNoRequestId ? 0 : r.id);
-    const bool seg = traceSeg_ && r.id != kNoRequestId;
+    const bool seg = attr_ && r.id != kNoRequestId;
     if (seg) {
         // Split the admission -> serve-start wait into pure queueing
         // and idle-injection gate overlap via the monotone gate
@@ -304,12 +340,10 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         const sim::Tick gated = gateClosedTotalAt(t0) - r.gateBase;
         const sim::Tick queued = t0 - r.admitAt - gated;
         if (queued > 0)
-            trace_->span(r.admitAt, queued, obs::Name::SegQueue,
-                         obs::Track::Segments, r.id);
+            segment(r.id, obs::Segment::Queue, r.admitAt, queued);
         if (gated > 0)
-            trace_->span(r.admitAt + queued, gated,
-                         obs::Name::SegStallGate, obs::Track::Segments,
-                         r.id);
+            segment(r.id, obs::Segment::StallGate, r.admitAt + queued,
+                    gated);
     }
 
     const sim::Tick base = r.service
@@ -367,15 +401,13 @@ ServerSim::finishServe(std::size_t idx)
         trace_->span(t0, sim_.now() - t0, obs::Name::Serve,
                      obs::Track::Requests,
                      r.id == kNoRequestId ? 0 : r.id);
-    if (traceSeg_ && r.id != kNoRequestId) {
+    if (attr_ && r.id != kNoRequestId) {
         const sim::Tick serve = sim_.now() - t0 - c.dvfsStall;
         if (serve > 0)
-            trace_->span(t0, serve, obs::Name::SegServe,
-                         obs::Track::Segments, r.id);
+            segment(r.id, obs::Segment::Serve, t0, serve);
         if (c.dvfsStall > 0)
-            trace_->span(t0 + serve, c.dvfsStall,
-                         obs::Name::SegStallDvfs, obs::Track::Segments,
-                         r.id);
+            segment(r.id, obs::Segment::StallDvfs, t0 + serve,
+                    c.dvfsStall);
     }
     if (nic_) {
         // Response TX through the NIC: the request completes (and
@@ -389,10 +421,9 @@ ServerSim::finishServe(std::size_t idx)
                 return;
             if (rinc != inc_)
                 return; // crashed while the response was in TX
-            if (traceSeg_ && sim_.now() > serve_end)
-                trace_->span(serve_end, sim_.now() - serve_end,
-                             obs::Name::SegXmitResp,
-                             obs::Track::Segments, rid);
+            if (attr_ && sim_.now() > serve_end)
+                segment(rid, obs::Segment::XmitResp, serve_end,
+                        sim_.now() - serve_end);
             completeInjected(rid);
         });
     } else {
@@ -614,13 +645,11 @@ ServerSim::capPowerW() const
 }
 
 void
-ServerSim::enableTracing(obs::TraceWriter *w, bool segments)
+ServerSim::enableTracing(obs::TraceWriter *w)
 {
     trace_ = w;
-    traceSeg_ = segments && w != nullptr;
     // Components inside this simulation (the NIC) find the sink here.
     sim_.setTrace(w);
-    sim_.setTraceSegments(traceSeg_);
     // Package power-state spans: piggyback on the same triggers Soc
     // uses to recompute pkgState(). Signal subscription appends, so
     // the SoC's own observers are unaffected.

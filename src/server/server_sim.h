@@ -24,6 +24,7 @@
 #include "sim/inline_function.h"
 #include "cpu/pstate.h"
 #include "net/nic.h"
+#include "obs/attribution.h"
 #include "obs/tracer.h"
 #include "power/rapl.h"
 #include "soc/soc.h"
@@ -237,15 +238,18 @@ class ServerSim
     static constexpr std::uint64_t kNoRequestId = UINT64_MAX;
 
     /**
-     * Per-request hook: an injected request's id and the instant on
-     * this server's clock (see onCompletion/onRxDrop/onAbort). Runs
-     * inside this server's event loop: when a fleet advances servers on
-     * worker threads, the hook must only touch state owned by this
-     * server (e.g. its shard's staging slot). It fires once per request
-     * across the whole fleet, so it is stored inline.
+     * Per-request hook: an injected request's id, the instant on this
+     * server's clock, and — with attribution on and for completions
+     * and crash aborts only — the segment ticks this server charged to
+     * the request (null otherwise; see onCompletion/onRxDrop/onAbort).
+     * Runs inside this server's event loop: when a fleet advances
+     * servers on worker threads, the hook must only touch state owned
+     * by this server (e.g. its shard's staging slot). It fires once per
+     * request across the whole fleet, so it is stored inline.
      */
-    using RequestHook =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
+    using RequestHook = sim::InplaceFunction<
+        void(std::uint64_t id, sim::Tick at, const obs::ServerChain *chain),
+        32>;
 
     explicit ServerSim(ServerConfig cfg);
     ~ServerSim();
@@ -360,14 +364,20 @@ class ServerSim
      * Route this server's telemetry into @p w (call before start()).
      * Installs the writer as the simulation-wide trace sink (NIC
      * events), subscribes package-state tracking, and turns on the
-     * request/cap instrumentation. With @p segments, additionally
-     * emits the per-request latency-attribution segment spans (wake,
-     * queue, gate/DVFS stalls, serve, TX; see obs/attribution.h).
-     * Tracing only appends POD records — it never schedules events or
-     * draws randomness, so a traced run's results are identical to an
-     * untraced one.
+     * request/cap instrumentation; with attribution on, segment
+     * charges are recorded as spans too. Tracing only appends POD
+     * records — it never schedules events or draws randomness, so a
+     * traced run's results are identical to an untraced one.
      */
-    void enableTracing(obs::TraceWriter *w, bool segments = false);
+    void enableTracing(obs::TraceWriter *w);
+
+    /**
+     * Charge every injected request's latency segments (NIC ring and
+     * IRQ hold, wake, queue, gate/DVFS stalls, serve, TX; see
+     * obs/attribution.h) to a per-request ServerChain, handed to the
+     * completion or abort hook. Pure observation, like tracing.
+     */
+    void enableAttribution() { attr_ = true; }
 
     /** Close the open package-state span (end of run). */
     void traceFlush();
@@ -404,7 +414,7 @@ class ServerSim
         bool coalesced; ///< arrived within the NIC coalesce window
         std::uint64_t id = kNoRequestId; ///< set for injected requests
         // Attribution boundaries (set at admission; only read when
-        // segment tracing is on).
+        // attribution is on).
         sim::Tick admitAt = 0;  ///< fabric open; enters the core queue
         sim::Tick gateBase = 0; ///< gate-closed integral at admission
         /** Server incarnation the request was admitted under; a crash
@@ -436,6 +446,10 @@ class ServerSim
     /** Fire the completion hook for @p id unless a crash destroyed it
      *  while the response was still inside the server. */
     void completeInjected(std::uint64_t id);
+    /** Charge [@p at, @p at + @p dur) to segment @p s of live injected
+     *  request @p id, and trace it as a segment span when tracing. */
+    void segment(std::uint64_t id, obs::Segment s, sim::Tick at,
+                 sim::Tick dur);
     /** NIC interrupt batch: shared wake, then per-packet admission. */
     void deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
                          sim::Tick irq_at);
@@ -503,10 +517,18 @@ class ServerSim
     std::uint32_t inc_ = 0;     ///< bumped by every crash
     sim::Tick crashAt_ = -1;    ///< last crash instant (-1 = never)
     std::uint64_t aborted_ = 0; ///< accepted requests destroyed
-    /** Injected ids currently alive inside the server (ring, queue,
-     *  core, TX) — the set a crash must report as destroyed. */
-    std::vector<std::uint64_t> liveIds_;
+    /** Injected requests currently alive inside the server (ring,
+     *  queue, core, TX) — the set a crash must report as destroyed —
+     *  with the segment ticks each has charged (attribution). A
+     *  lookup takes the first entry with the id. */
+    struct LiveRequest
+    {
+        std::uint64_t id;
+        obs::ServerChain chain;
+    };
+    std::vector<LiveRequest> live_;
     RequestHook abortFn_;
+    bool attr_ = false; ///< enableAttribution() was called
     stats::Summary nicWakeUs_;
     double nicEnergy0_ = 0.0; ///< Network-plane energy at measurement start
     // RAPL counters latched at beginMeasurement().
@@ -532,7 +554,6 @@ class ServerSim
     sim::Tick clampLossSince_ = 0;
     // Telemetry (null/idle unless enableTracing() was called).
     obs::TraceWriter *trace_ = nullptr;
-    bool traceSeg_ = false; ///< emit attribution segment spans
     std::size_t tracePkg_ = 0;      ///< pkg state the open span is in
     sim::Tick tracePkgSince_ = 0;   ///< open pkg-state span start
 };

@@ -37,6 +37,11 @@ Signal::writeAfter(Tick delay, bool v)
         return;
     }
     writes_.restart();
+    // Only write/writeAfter change the level, and both restart the
+    // flow: with nothing in flight, a write of the current level could
+    // only fire as a no-op.
+    if (v == value_)
+        return;
     sim_.after(delay, writes_.guard([this, v] { applyEdge(v); }));
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tail-latency attribution tests: causal chain reassembly from synthetic
- * traces, the exact-additivity invariant on a fabric+NIC+cap fleet grid
- * (every critical path sums to its request's measured end-to-end latency
- * in integer ticks), the zero-footprint contract (reports byte-identical
- * with attribution on or off, across thread counts and shard layouts),
- * blame-report export shape, drop flagging, and Perfetto flow events.
+ * Tail-latency attribution tests: streaming chain assembly from
+ * synthetic charges, the exact-additivity invariant on a fabric+NIC+cap
+ * fleet grid (every critical path sums to its request's measured
+ * end-to-end latency in integer ticks), the zero-footprint contract
+ * (reports byte-identical with attribution on or off, across thread
+ * counts and shard layouts), independence from tracing, blame-report
+ * export shape, and Perfetto flow events.
  */
 
 #include <gtest/gtest.h>
@@ -30,54 +31,45 @@ segOf(const obs::ReplicaPath &rp, obs::Segment s)
     return rp.seg[static_cast<std::size_t>(s)];
 }
 
-// -------------------------------------------------- synthetic assembly
+// ------------------------------------------------- streaming assembly
 
 TEST(Attribution, ReassemblesSyntheticFanoutChain)
 {
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer tr(tc, 3); // writer 0 = fleet, 1 = server 0, 2 = server 1
+    obs::AttributionCollector col;
+    obs::RequestChains chains;
 
     // Request 7: fanout to servers 0 and 1; server 1 is the slow leg.
-    tr.writer(0)->span(100 * kUs, 50 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 7);
     // Replica on server 0 (fast): 10 xmit + 5 wake + 20 serve + 10 resp.
-    tr.writer(0)->span(100 * kUs, 10 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 7, 0.0);
-    tr.writer(1)->span(110 * kUs, 5 * kUs, obs::Name::SegWake,
-                       obs::Track::Segments, 7);
-    tr.writer(1)->span(115 * kUs, 20 * kUs, obs::Name::SegServe,
-                       obs::Track::Segments, 7);
-    tr.writer(0)->span(135 * kUs, 10 * kUs, obs::Name::SegXmitResp,
-                       obs::Track::Segments, 7, 0.0);
+    chains.charge(0, obs::Segment::XmitReq, 10 * kUs);
+    obs::ServerChain fast;
+    fast.add(obs::Segment::Wake, 5 * kUs);
+    fast.add(obs::Segment::Serve, 20 * kUs);
+    chains.merge(0, fast);
+    chains.charge(0, obs::Segment::XmitResp, 10 * kUs);
     // Replica on server 1 (critical): sums to the full 50 us.
-    tr.writer(0)->span(100 * kUs, 10 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 7, 1.0);
-    tr.writer(2)->span(110 * kUs, 8 * kUs, obs::Name::SegQueue,
-                       obs::Track::Segments, 7);
-    tr.writer(2)->span(118 * kUs, 4 * kUs, obs::Name::SegStallGate,
-                       obs::Track::Segments, 7);
-    tr.writer(2)->span(122 * kUs, 18 * kUs, obs::Name::SegServe,
-                       obs::Track::Segments, 7);
-    tr.writer(2)->span(140 * kUs, 2 * kUs, obs::Name::SegStallDvfs,
-                       obs::Track::Segments, 7);
-    tr.writer(0)->span(142 * kUs, 8 * kUs, obs::Name::SegXmitResp,
-                       obs::Track::Segments, 7, 1.0);
+    chains.charge(1, obs::Segment::XmitReq, 10 * kUs);
+    obs::ServerChain slow;
+    slow.add(obs::Segment::Queue, 8 * kUs);
+    slow.add(obs::Segment::StallGate, 4 * kUs);
+    slow.add(obs::Segment::Serve, 18 * kUs);
+    slow.add(obs::Segment::StallDvfs, 2 * kUs);
+    chains.merge(1, slow);
+    chains.charge(1, obs::Segment::XmitResp, 8 * kUs);
 
-    const obs::AttributionResult res = obs::buildAttribution(tr);
+    col.finish(7, 100 * kUs, 50 * kUs, chains);
+    col.finalize();
+    const obs::AttributionResult &res = col.result();
     EXPECT_EQ(res.violations, 0u);
-    EXPECT_EQ(res.incomplete, 0u);
-    EXPECT_EQ(res.ringDropped, 0u);
+    EXPECT_EQ(res.lostExcluded, 0u);
     ASSERT_EQ(res.requests.size(), 1u);
 
     const obs::RequestPath &rp = res.requests[0];
     EXPECT_EQ(rp.id, 7u);
     EXPECT_EQ(rp.arrival, 100 * kUs);
     EXPECT_EQ(rp.e2e, 50 * kUs);
-    EXPECT_TRUE(rp.additive);
-    ASSERT_EQ(rp.replicas.size(), 2u);
+    EXPECT_EQ(rp.replicas, 2u);
 
-    const obs::ReplicaPath &cp = rp.criticalPath();
+    const obs::ReplicaPath &cp = rp.critical;
     EXPECT_EQ(cp.srv, 1u); // the slow leg won
     EXPECT_EQ(cp.total(), 50 * kUs);
     EXPECT_EQ(segOf(cp, obs::Segment::XmitReq), 10 * kUs);
@@ -87,69 +79,48 @@ TEST(Attribution, ReassemblesSyntheticFanoutChain)
     EXPECT_EQ(segOf(cp, obs::Segment::StallDvfs), 2 * kUs);
     EXPECT_EQ(segOf(cp, obs::Segment::XmitResp), 8 * kUs);
     EXPECT_EQ(cp.dominant(), obs::Segment::Serve);
+}
 
-    // The fast leg assembled independently and sums to its own latency.
-    const obs::ReplicaPath &fast = rp.replicas[1 - rp.critical];
-    EXPECT_EQ(fast.srv, 0u);
-    EXPECT_EQ(fast.total(), 45 * kUs);
+TEST(Attribution, RequestsAreReportedInArrivalOrder)
+{
+    // Requests close in flight-erase order; the report lists them by
+    // (arrival, id), and an uncharged server share adds no replica.
+    obs::AttributionCollector col;
+    const auto one = [](std::uint32_t srv, sim::Tick serve) {
+        obs::RequestChains c;
+        c.merge(srv + 1, obs::ServerChain{});
+        obs::ServerChain s;
+        s.add(obs::Segment::Serve, serve);
+        c.merge(srv, s);
+        return c;
+    };
+    col.finish(5, 30 * kUs, 9 * kUs, one(2, 9 * kUs));
+    col.finish(4, 10 * kUs, 7 * kUs, one(0, 7 * kUs));
+    col.finish(3, 10 * kUs, 8 * kUs, one(1, 8 * kUs));
+    col.finalize();
+    const obs::AttributionResult &res = col.result();
+    ASSERT_EQ(res.requests.size(), 3u);
+    EXPECT_EQ(res.requests[0].id, 3u);
+    EXPECT_EQ(res.requests[1].id, 4u);
+    EXPECT_EQ(res.requests[2].id, 5u);
+    EXPECT_EQ(res.requests[0].replicas, 1u);
+    EXPECT_EQ(res.requests[0].critical.srv, 1u);
 }
 
 TEST(Attribution, LostRequestsAreExcluded)
 {
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer tr(tc, 2);
-    tr.writer(0)->instant(10 * kUs, obs::Name::Lost, obs::Track::Requests,
-                          3);
-    tr.writer(0)->span(10 * kUs, 5 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 3, 0.0);
+    obs::AttributionCollector col;
+    obs::RequestChains charged;
+    charged.charge(0, obs::Segment::XmitReq, 5 * kUs);
+    col.lost(charged);
+    // A request lost before any segment was charged has no chain.
+    col.lost(obs::RequestChains{});
+    col.finalize();
 
-    const obs::AttributionResult res = obs::buildAttribution(tr);
+    const obs::AttributionResult &res = col.result();
     EXPECT_EQ(res.requests.size(), 0u);
     EXPECT_EQ(res.lostExcluded, 1u);
     EXPECT_EQ(res.violations, 0u);
-}
-
-TEST(Attribution, PlainTracesWithoutSegmentsProduceNothing)
-{
-    // A trace recorded without attribution has Request spans but no
-    // segment spans: nothing to attribute, nothing to flag.
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    obs::Tracer tr(tc, 2);
-    tr.writer(0)->span(0, 100 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 1);
-    tr.writer(0)->span(0, 200 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 2);
-
-    const obs::AttributionResult res = obs::buildAttribution(tr);
-    EXPECT_EQ(res.requests.size(), 0u);
-    EXPECT_EQ(res.violations, 0u);
-    EXPECT_EQ(res.incomplete, 0u);
-}
-
-TEST(Attribution, RingDropsFlagMismatchedChainsAsIncomplete)
-{
-    obs::TraceConfig tc;
-    tc.enabled = true;
-    tc.ringCapacity = 2; // forces wrap on the fleet writer
-    obs::Tracer tr(tc, 2);
-    // Three records through a 2-slot ring: the oldest (the request's
-    // xmit span) is evicted, so the surviving chain cannot sum to e2e.
-    tr.writer(0)->span(0, 30 * kUs, obs::Name::SegXmitReq,
-                       obs::Track::Segments, 9, 0.0);
-    tr.writer(1)->span(30 * kUs, 70 * kUs, obs::Name::SegServe,
-                       obs::Track::Segments, 9);
-    tr.writer(0)->span(0, 100 * kUs, obs::Name::Request,
-                       obs::Track::Requests, 9);
-    tr.writer(0)->span(0, 1 * kUs, obs::Name::SegRto,
-                       obs::Track::Segments, 9, 0.0);
-
-    const obs::AttributionResult res = obs::buildAttribution(tr);
-    EXPECT_GT(res.ringDropped, 0u);
-    EXPECT_EQ(res.requests.size(), 0u);
-    EXPECT_EQ(res.incomplete, 1u);
-    EXPECT_EQ(res.violations, 0u); // drops explain the gap, not a bug
 }
 
 // ---------------------------------------------- fleet-level invariants
@@ -183,26 +154,18 @@ gridFleet(std::size_t servers, unsigned threads, std::size_t shard_size,
     fc.budget.oversubscription = 1.5;
     fc.cap.actuator = cap::CapActuator::Hybrid;
     fc.attribution.enabled = attribution;
-    fc.trace.ringCapacity = 1u << 18; // fleet spine carries all transits
     return fc;
 }
 
 TEST(AttributionFleet, ThousandServerGridIsExactlyAdditive)
 {
-    auto fc = gridFleet(1000, 8, 0, true);
-    // The fleet spine records every request's transits: at this scale
-    // that is several records per request, so give writer 0 room — the
-    // additivity check below requires zero ring drops.
-    fc.trace.ringCapacity = 1u << 20;
-    fleet::FleetSim fleet(fc);
+    fleet::FleetSim fleet(gridFleet(1000, 8, 0, true));
     const fleet::FleetReport rep = fleet.run();
     ASSERT_GT(rep.dispatched, 1000u);
 
-    // No ring wrap: every chain must be present and exact.
-    EXPECT_EQ(rep.traceDrops, 0u);
+    // Every chain must be present and exact.
     ASSERT_TRUE(rep.attribution.enabled);
     EXPECT_EQ(rep.attribution.violations, 0u);
-    EXPECT_EQ(rep.attribution.incomplete, 0u);
     EXPECT_GT(rep.attribution.requests, 1000u);
     EXPECT_GT(rep.attribution.fanoutRequests, 0u);
 
@@ -319,7 +282,9 @@ TEST(AttributionFleet, BlameReportExportShape)
 
 TEST(AttributionFleet, TraceExportCarriesFlowEvents)
 {
-    fleet::FleetSim fleet(gridFleet(32, 2, 0, true));
+    auto fc = gridFleet(32, 2, 0, true);
+    fc.trace.enabled = true;
+    fleet::FleetSim fleet(fc);
     (void)fleet.run();
     const std::string path = "/tmp/apc_test_attr_trace.json";
     ASSERT_TRUE(fleet.writeTrace(path));
@@ -343,18 +308,56 @@ TEST(AttributionFleet, TraceExportCarriesFlowEvents)
     EXPECT_NE(out.find("\"name\":\"req_flow\""), std::string::npos);
 }
 
-TEST(AttributionFleet, TinyRingsAreFlaggedNotAsserted)
+TEST(AttributionFleet, PlainTracesCarryNoSegments)
 {
-    auto fc = gridFleet(32, 2, 0, true);
-    fc.trace.ringCapacity = 512; // far too small: rings must wrap
+    // Tracing without attribution records request spans but charges no
+    // segments: no segment spans, and no blame report.
+    auto fc = gridFleet(32, 2, 0, false);
+    fc.trace.enabled = true;
     fleet::FleetSim fleet(fc);
     const fleet::FleetReport rep = fleet.run();
-    EXPECT_GT(rep.traceDrops, 0u);
-    EXPECT_GT(rep.traceRecords, rep.traceDrops);
-    // Broken chains are flagged incomplete — never reported as additive
-    // garbage, and never counted as invariant violations.
-    EXPECT_EQ(rep.attribution.violations, 0u);
-    EXPECT_EQ(rep.attribution.ringDropped, rep.traceDrops);
+    EXPECT_FALSE(rep.attribution.enabled);
+    EXPECT_EQ(rep.attribution.requests, 0u);
+    std::size_t requests = 0, segments = 0;
+    for (const obs::Tracer::MergedRecord &m : fleet.tracer()->merged()) {
+        if (m.rec->name == static_cast<obs::StrId>(obs::Name::Request))
+            ++requests;
+        if (m.rec->track == static_cast<std::uint8_t>(obs::Track::Segments))
+            ++segments;
+    }
+    EXPECT_GT(requests, 0u);
+    EXPECT_EQ(segments, 0u);
+}
+
+TEST(AttributionFleet, BlameReportIsIndependentOfTracing)
+{
+    // The report is charged as requests run and never reads the trace
+    // rings: tracing off, ample rings and rings that wrap all give the
+    // same bytes.
+    const auto blame = [](bool traced, std::size_t ring,
+                          std::uint64_t *drops) {
+        auto fc = gridFleet(32, 2, 0, true);
+        fc.trace.enabled = traced;
+        fc.trace.ringCapacity = ring;
+        const fleet::FleetReport rep = fleet::FleetSim(fc).run();
+        *drops = rep.traceDrops;
+        char *buf = nullptr;
+        std::size_t len = 0;
+        std::FILE *f = open_memstream(&buf, &len);
+        EXPECT_TRUE(rep.attribution.writeJson(f));
+        std::fclose(f);
+        std::string out(buf, len);
+        free(buf);
+        return out;
+    };
+    std::uint64_t drops = 0;
+    const std::string untraced = blame(false, 1u << 16, &drops);
+    EXPECT_EQ(drops, 0u);
+    EXPECT_NE(untraced.find("\"requests\": "), std::string::npos);
+    EXPECT_EQ(blame(true, std::size_t{1} << 22, &drops), untraced);
+    EXPECT_EQ(drops, 0u);
+    EXPECT_EQ(blame(true, 512, &drops), untraced);
+    EXPECT_GT(drops, 0u); // the rings did wrap
 }
 
 } // namespace

@@ -214,9 +214,11 @@ TEST(ServerLifecycle, CrashDestroysInFlightWorkLoudly)
     server::ServerSim srv = drivenServer();
     std::vector<std::uint64_t> aborted;
     std::uint64_t completions = 0;
-    srv.onCompletion([&](std::uint64_t, sim::Tick) { ++completions; });
-    srv.onAbort(
-        [&](std::uint64_t id, sim::Tick) { aborted.push_back(id); });
+    srv.onCompletion([&](std::uint64_t, sim::Tick,
+                         const obs::ServerChain *) { ++completions; });
+    srv.onAbort([&](std::uint64_t id, sim::Tick, const obs::ServerChain *) {
+        aborted.push_back(id);
+    });
     srv.start();
 
     srv.advanceTo(1 * kMs);
@@ -265,9 +267,11 @@ TEST(ServerLifecycle, DrainStopsAdmissionButFinishesWork)
     server::ServerSim srv = drivenServer();
     std::vector<std::uint64_t> aborted;
     std::uint64_t completions = 0;
-    srv.onCompletion([&](std::uint64_t, sim::Tick) { ++completions; });
-    srv.onAbort(
-        [&](std::uint64_t id, sim::Tick) { aborted.push_back(id); });
+    srv.onCompletion([&](std::uint64_t, sim::Tick,
+                         const obs::ServerChain *) { ++completions; });
+    srv.onAbort([&](std::uint64_t id, sim::Tick, const obs::ServerChain *) {
+        aborted.push_back(id);
+    });
     srv.start();
 
     srv.advanceTo(1 * kMs);

@@ -61,10 +61,11 @@ TEST(StagedEventOrder, MatchesGlobalSortOrder)
 {
     // The merge comparator must impose the (time, server, id) total
     // order the pre-shard engine's global sort used.
-    EXPECT_TRUE(stagedBefore({1, 5, 9}, {2, 0, 0}));
-    EXPECT_TRUE(stagedBefore({1, 4, 9}, {1, 5, 0}));
-    EXPECT_TRUE(stagedBefore({1, 5, 3}, {1, 5, 9}));
-    EXPECT_FALSE(stagedBefore({1, 5, 9}, {1, 5, 9}));
+    // The chain index rides along and never orders.
+    EXPECT_TRUE(stagedBefore({1, 5, 0, 9}, {2, 0, 1, 0}));
+    EXPECT_TRUE(stagedBefore({1, 4, 1, 9}, {1, 5, 0, 0}));
+    EXPECT_TRUE(stagedBefore({1, 5, 1, 3}, {1, 5, 0, 9}));
+    EXPECT_FALSE(stagedBefore({1, 5, 0, 9}, {1, 5, 1, 9}));
 }
 
 // ------------------------------------------------------------ reduceFixed

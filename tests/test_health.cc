@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "obs/audit.h"
 #include "obs/health.h"
 #include "obs/slo.h"
+#include "stats/rank.h"
 
 namespace apc {
 namespace {
@@ -169,6 +172,59 @@ TEST(SloMonitor, LatencyPercentileBufferIsBoundedAndCounted)
     EXPECT_EQ(m.latencySamplesDropped(), 6u);
     // Dropped samples still counted good/bad: nothing burned.
     EXPECT_DOUBLE_EQ(m.worstBurn(), 0.0);
+}
+
+TEST(SloMonitor, WindowP99SelectionMatchesSortedRank)
+{
+    // The window p99 is selected, not sorted: it must equal the
+    // exact-rank quantile of the sorted window, with ties (integer
+    // samples from a small range) and one-sample windows included.
+    std::mt19937_64 rng(16);
+    const auto draw = [&rng](bool ties) {
+        return ties ? static_cast<double>(rng() % 8)
+                    : std::uniform_real_distribution<double>(
+                          1.0, 2000.0)(rng);
+    };
+    const auto sortedP99 = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return stats::quantileSorted(v, 99, 100);
+    };
+
+    // One epoch per monitor: the worst window p99 is that window's.
+    for (int trial = 0; trial < 300; ++trial) {
+        obs::SloMonitor m(scriptedSlo(), 0.0);
+        const std::size_t n = trial % 5 == 0 ? 1 : 1 + rng() % 700;
+        std::vector<double> window;
+        for (std::size_t i = 0; i < n; ++i) {
+            window.push_back(draw(trial % 2 == 0));
+            m.recordLatency(window.back());
+        }
+        m.onEpoch(0, 1 * kMs);
+        ASSERT_EQ(m.worstWindowP99Us(), sortedP99(window))
+            << "trial " << trial << ", " << n << " samples";
+    }
+
+    // Rolling 8 ms windows over 1 ms epochs: the running worst tracks
+    // the sorted value of every window.
+    obs::SloMonitor m(scriptedSlo(), 0.0);
+    std::vector<std::vector<double>> epochs;
+    double worst = 0.0;
+    for (int k = 1; k <= 40; ++k) {
+        std::vector<double> cur(rng() % 4 == 0 ? 1 : rng() % 300);
+        for (double &v : cur) {
+            v = draw(k % 3 == 0);
+            m.recordLatency(v);
+        }
+        m.onEpoch((k - 1) * kMs, k * kMs);
+        epochs.push_back(cur);
+        std::vector<double> window;
+        for (std::size_t e = epochs.size() > 8 ? epochs.size() - 8 : 0;
+             e < epochs.size(); ++e)
+            window.insert(window.end(), epochs[e].begin(), epochs[e].end());
+        if (!window.empty())
+            worst = std::max(worst, sortedP99(window));
+        ASSERT_EQ(m.worstWindowP99Us(), worst) << "epoch " << k;
+    }
 }
 
 TEST(SloMonitor, IdleFleetIsFullyAvailableNotNaN)

@@ -10,6 +10,7 @@ Usage:
     check_bench_json.py fleetscale BENCH_fleetscale.json
     check_bench_json.py churn      BENCH_churn.json
     check_bench_json.py fleet-demo TRACE.json METRICS.csv BLAME.json HEALTH.json
+    check_bench_json.py blame      BLAME.json
 
 `simcore` keeps its speedup target advisory: a geomean below 1.5x
 prints a GitHub `::warning` annotation instead of failing, because a
@@ -221,6 +222,7 @@ KINDS = {
     "fleetscale": (check_fleetscale, 1),
     "churn": (check_churn, 1),
     "fleet-demo": (check_fleet_demo, 4),
+    "blame": (check_blame, 1),
 }
 
 
