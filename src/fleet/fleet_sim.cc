@@ -705,8 +705,14 @@ FleetSim::armTimeout(FlightMap::iterator it, sim::Tick at)
     Flight &fl = it->second;
     if (!cfg_.recovery.enabled || fl.fanout)
         return;
-    timeoutQueue_.push_back(
-        {at + cfg_.recovery.requestTimeout, it->first, fl.attempts - 1});
+    // First dispatches arm at their arrival instants, which the route
+    // stage visits in time order; failovers re-dispatch at the epoch
+    // edge, before the next epoch's arrivals. Deadlines therefore never
+    // decrease, and processRecovery pops the due ones off the front.
+    const sim::Tick deadline = at + cfg_.recovery.requestTimeout;
+    assert(timeoutQueue_.empty() ||
+           timeoutQueue_.back().deadline <= deadline);
+    timeoutQueue_.push_back({deadline, it->first, fl.attempts - 1});
     ++fl.timeoutsArmed;
 }
 
@@ -789,15 +795,14 @@ FleetSim::processRecovery(sim::Tick t1)
     std::vector<std::pair<sim::Tick, std::uint64_t>> dueR;
     while (progress) {
         progress = false;
+        // Deadlines are armed in non-decreasing order (armTimeout), so
+        // the due timeouts are the queue's prefix.
         dueT.clear();
-        std::size_t kept = 0;
-        for (const PendingTimeout &pt : timeoutQueue_) {
-            if (pt.deadline <= t1)
-                dueT.push_back(pt);
-            else
-                timeoutQueue_[kept++] = pt;
+        while (!timeoutQueue_.empty() &&
+               timeoutQueue_.front().deadline <= t1) {
+            dueT.push_back(timeoutQueue_.front());
+            timeoutQueue_.pop_front();
         }
-        timeoutQueue_.resize(kept);
         // Canonical firing order regardless of arming order.
         std::sort(dueT.begin(), dueT.end(),
                   [](const PendingTimeout &a, const PendingTimeout &b) {
@@ -824,7 +829,7 @@ FleetSim::processRecovery(sim::Tick t1)
             failAttempt(it, pt.deadline);
         }
         dueR.clear();
-        kept = 0;
+        std::size_t kept = 0;
         for (const auto &rt : retryQueue_) {
             if (rt.first <= t1)
                 dueR.push_back(rt);
@@ -1407,8 +1412,8 @@ FleetSim::aggregate()
     if (attr_) {
         // A resolved flight the drain left open (a stale attempt still
         // inside a server) counts like an erased one.
-        // lint:allow(unordered-iteration) finalize() sorts the kept
-        // requests by (arrival, id); the rest are counts
+        // lint:allow(unordered-iteration) finalize() ranks the kept
+        // requests by (e2e, arrival, id); the rest are counts
         for (const auto &[id, fl] : inFlight_)
             if (fl.resolved)
                 closeChains(fl, id);

@@ -37,6 +37,7 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -550,7 +551,8 @@ class FleetSim
         std::uint64_t id = 0;
         int attempt = 0; ///< stale once the flight moved past it
     };
-    std::vector<PendingTimeout> timeoutQueue_;
+    /** In non-decreasing deadline order (see armTimeout). */
+    std::deque<PendingTimeout> timeoutQueue_;
     /** Scheduled failover re-dispatches: (due instant, flight id). */
     std::vector<std::pair<sim::Tick, std::uint64_t>> retryQueue_;
     std::uint64_t lostToCrash_ = 0;

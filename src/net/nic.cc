@@ -33,7 +33,7 @@ Nic::dmaEnd()
 }
 
 void
-Nic::rxEnqueue(std::uint64_t id, sim::Tick service)
+Nic::rxEnqueue(std::uint64_t id, sim::Tick service, std::uint32_t slot)
 {
     if (ring_.size() >= cfg_.rxRingSize) {
         ++stats_.rxDropped;
@@ -41,10 +41,10 @@ Nic::rxEnqueue(std::uint64_t id, sim::Tick service)
             tw->instant(sim_.now(), obs::Name::NicDrop, obs::Track::Nic,
                         id);
         if (dropFn_)
-            dropFn_(id, sim_.now());
+            dropFn_({id, service, sim_.now(), slot});
         return;
     }
-    ring_.push_back({id, service, sim_.now()});
+    ring_.push_back({id, service, sim_.now(), slot});
     ++stats_.rxPackets;
     if (frozen())
         return; // moderation wedged: descriptors pile up in the ring

@@ -89,6 +89,8 @@ class Nic
         std::uint64_t id;
         sim::Tick service;
         sim::Tick enqueuedAt;
+        /** The owner's handle for the request, carried back unread. */
+        std::uint32_t slot;
     };
 
     /**
@@ -99,9 +101,8 @@ class Nic
     using DeliverFn = sim::InplaceFunction<
         void(std::vector<RxPacket> batch, sim::Tick irq_at), 32>;
 
-    /** Ring-full tail drop of the packet carrying @p id. */
-    using DropFn =
-        sim::InplaceFunction<void(std::uint64_t id, sim::Tick at), 32>;
+    /** Ring-full tail drop of packet @p p (enqueuedAt = the drop). */
+    using DropFn = sim::InplaceFunction<void(const RxPacket &p), 32>;
 
     Nic(sim::Simulation &sim, power::EnergyMeter &meter, io::IoLink &link,
         const NicConfig &cfg);
@@ -112,9 +113,11 @@ class Nic
     /**
      * A packet arrives from the wire into the RX ring. May raise the
      * interrupt immediately (frame threshold / zero window) or arm the
-     * moderation timer.
+     * moderation timer. @p slot rides the descriptor back to the owner
+     * in the delivery batch or the drop hook.
      */
-    void rxEnqueue(std::uint64_t id, sim::Tick service);
+    void rxEnqueue(std::uint64_t id, sim::Tick service,
+                   std::uint32_t slot = 0);
 
     /** DMA one response to the wire; @p done when it has left the NIC. */
     void txSend(sim::Callback done);

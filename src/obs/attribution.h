@@ -21,6 +21,16 @@
  *    exactly** (integer ticks) to the client-observed latency. For a
  *    fanout request that is the slowest replica.
  *
+ * The kept requests are ranked by (e2e, arrival, id): the blame report
+ * cuts its percentile bands from that order and sums each band in it.
+ * The collector stores them in fixed-size blocks and ranks each block
+ * once, when it fills (the last one at `finalize`), by a radix sort on
+ * the latency;
+ * `AttributionResult::forEachRanked` merges the sorted blocks. The
+ * per-request samples and the Perfetto flows take the earliest
+ * arrivals, which `earliestArrivals` selects without sorting anything
+ * by arrival.
+ *
  * With tracing on, every charge is also recorded as a segment span on
  * `Track::Segments` for the Perfetto export (writer 0 is the spine,
  * with the server in `value`; writer i >= 1 is server i-1). The report
@@ -31,8 +41,8 @@
 #ifndef APC_OBS_ATTRIBUTION_H
 #define APC_OBS_ATTRIBUTION_H
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "obs/tracer.h"
@@ -119,13 +129,42 @@ struct RequestPath
     std::uint32_t replicas = 0;  ///< replicas that charged a segment
 };
 
+/** The report's rank order: (e2e, arrival, id), a total order. */
+inline bool
+rankedBefore(const RequestPath &a, const RequestPath &b)
+{
+    if (a.e2e != b.e2e)
+        return a.e2e < b.e2e;
+    return a.arrival != b.arrival ? a.arrival < b.arrival : a.id < b.id;
+}
+
 /** The attribution of one run. */
 struct AttributionResult
 {
-    /** Additive requests, sorted by (arrival, id). A deque grows
-     *  without copying: a vector's doubling would briefly hold 1.5x
-     *  every finished request of the run. */
-    std::deque<RequestPath> requests;
+    /** Requests per storage block: about 2 MB, small enough to sort
+     *  while the block is still cached, large enough that the merge
+     *  interleaves few blocks. */
+    static constexpr std::size_t kBlockRequests = 16384;
+
+    /** The additive requests, in close order across blocks of
+     *  kBlockRequests, each block sorted by rankedBefore once complete.
+     *  Blocks are allocated once and never regrow: a single vector's
+     *  doubling would briefly hold 1.5x every finished request. */
+    std::vector<std::vector<RequestPath>> blocks;
+
+    /** Attributed requests. */
+    std::size_t
+    size() const
+    {
+        return blocks.empty() ? 0
+                              : (blocks.size() - 1) * kBlockRequests +
+                blocks.back().size();
+    }
+
+    /** Call @p fn on every request in rank order: a k-way merge of the
+     *  sorted blocks (after AttributionCollector::finalize). */
+    template <typename Fn> void forEachRanked(Fn &&fn) const;
+
     /** Requests excluded because a replica was dropped beyond retry
      *  (they never answered the client; no end-to-end latency). */
     std::uint64_t lostExcluded = 0;
@@ -134,6 +173,39 @@ struct AttributionResult
      *  (asserted in debug builds). */
     std::uint64_t violations = 0;
 };
+
+template <typename Fn>
+void
+AttributionResult::forEachRanked(Fn &&fn) const
+{
+    // One cursor per block; the heap keeps the cursor whose request
+    // ranks first on top.
+    struct Cursor
+    {
+        const RequestPath *at, *end;
+    };
+    std::vector<Cursor> heap;
+    heap.reserve(blocks.size());
+    for (const std::vector<RequestPath> &b : blocks)
+        if (!b.empty())
+            heap.push_back({b.data(), b.data() + b.size()});
+    const auto later = [](const Cursor &a, const Cursor &b) {
+        return rankedBefore(*b.at, *a.at);
+    };
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty()) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        Cursor &c = heap.back();
+        fn(*c.at);
+        // The merge reads as many streams as there are blocks, more
+        // than the hardware prefetcher follows: fetch ahead by hand.
+        __builtin_prefetch(c.at + 4);
+        if (++c.at == c.end)
+            heap.pop_back();
+        else
+            std::push_heap(heap.begin(), heap.end(), later);
+    }
+}
 
 /**
  * A server's share of one live request: the ticks it charged to each
@@ -168,17 +240,26 @@ class RequestChains
     void merge(std::uint32_t srv, const ServerChain &c);
 
     /** No segment charged yet. */
-    bool empty() const { return replicas_.empty(); }
+    bool empty() const { return first_.srv == kNoReplica; }
 
   private:
     friend class AttributionCollector;
 
-    /** @p srv's replica, created on its first charge. */
-    ReplicaPath &replica(std::uint32_t srv);
+    static constexpr std::uint32_t kNoReplica = UINT32_MAX;
 
-    /** In first-charge order: when two replicas sum exactly to the
-     *  request's latency, the first one is critical. */
-    std::vector<ReplicaPath> replicas_;
+    /** @p srv's replica, created on its first charge. */
+    ReplicaPath &
+    replica(std::uint32_t srv)
+    {
+        return first_.srv == srv ? first_ : otherReplica(srv);
+    }
+    ReplicaPath &otherReplica(std::uint32_t srv);
+
+    /** Replicas in first-charge order, first_ then more_: when two
+     *  replicas sum exactly to the request's latency, the first one is
+     *  critical. Most requests have one replica, held inline. */
+    ReplicaPath first_{kNoReplica, {}};
+    std::vector<ReplicaPath> more_;
 };
 
 /**
@@ -197,18 +278,38 @@ class AttributionCollector
      *  any segment was charged to it. */
     void lost(const RequestChains &chains);
 
-    /** Sort the kept requests by (arrival, id); call once, after the
-     *  last finish(). */
+    /** Rank the last, partly filled block; call once, after the last
+     *  finish(). */
     void finalize();
 
     const AttributionResult &result() const { return res_; }
 
   private:
+    /** Sort @p block by rankedBefore. */
+    void rankBlock(std::vector<RequestPath> &block);
+
     AttributionResult res_;
+    /** rankBlock scratch, reused by every block: latency keys and a
+     *  spare block that trades places with each ranked one. */
+    struct RankKey
+    {
+        sim::Tick e2e;
+        std::uint32_t at; ///< index in the block
+    };
+    std::vector<RankKey> keys_, keysTmp_;
+    std::vector<RequestPath> spare_;
 };
 
 /**
- * Perfetto flow arrows for the first @p limit attributed requests:
+ * The first @p limit requests of @p res by (arrival, id), in that
+ * order: a bounded selection over the ranked requests.
+ */
+std::vector<const RequestPath *>
+earliestArrivals(const AttributionResult &res, std::size_t limit);
+
+/**
+ * Perfetto flow arrows for the first @p limit attributed requests by
+ * arrival:
  * start at the client arrival (fleet, requests track), step at the
  * critical replica's serve start (server, segments track), finish at
  * the client delivery (fleet, requests track).

@@ -1,8 +1,5 @@
 #include "obs/critpath.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "obs/fmt.h"
 #include "stats/rank.h"
 
@@ -32,34 +29,34 @@ LatencyAttribution::build(const AttributionResult &res,
 {
     LatencyAttribution out;
     out.enabled = true;
-    out.requests = res.requests.size();
+    out.requests = res.size();
     out.lostExcluded = res.lostExcluded;
     out.violations = res.violations;
 
-    const std::size_t n = res.requests.size();
+    const std::size_t n = res.size();
     if (n == 0)
         return out;
 
-    // Rank requests by end-to-end latency (ties broken by the already
-    // deterministic arrival order) and cut the bands at exact ranks:
-    // ceil(n*p) requests lie at or below the p-quantile. The keys are
-    // copied out so the sort runs over contiguous pairs.
-    std::vector<std::pair<sim::Tick, std::uint32_t>> order(n);
-    for (std::size_t i = 0; i < n; ++i)
-        order[i] = {res.requests[i].e2e, static_cast<std::uint32_t>(i)};
-    std::sort(order.begin(), order.end());
+    // Cut the bands at exact ranks of the (e2e, arrival, id) order,
+    // ceil(n*p) requests at or below the p-quantile, and sum each band
+    // in rank order.
     const auto edges = stats::percentileBandEdges(n);
-
-    for (std::size_t b = 0; b < kNumBands; ++b) {
+    std::size_t rank = 0, b = 0;
+    res.forEachRanked([&](const RequestPath &rp) {
+        while (rank == edges[b + 1])
+            ++b; // skip empty bands
+        ++rank;
         BlameBand &band = out.bands[b];
-        for (std::size_t r = edges[b]; r < edges[b + 1]; ++r) {
-            const RequestPath &rp = res.requests[order[r].second];
-            const ReplicaPath &cp = rp.critical;
-            ++band.count;
-            band.e2eMeanUs += sim::toMicros(rp.e2e);
-            for (std::size_t s = 0; s < kNumSegments; ++s)
-                band.segMeanUs[s] += sim::toMicros(cp.seg[s]);
-        }
+        const ReplicaPath &cp = rp.critical;
+        ++band.count;
+        band.e2eMeanUs += sim::toMicros(rp.e2e);
+        for (std::size_t s = 0; s < kNumSegments; ++s)
+            band.segMeanUs[s] += sim::toMicros(cp.seg[s]);
+        if (rp.replicas > 1)
+            ++out.fanoutRequests;
+        ++out.criticalBySegment[static_cast<std::size_t>(cp.dominant())];
+    });
+    for (BlameBand &band : out.bands) {
         if (band.count > 0) {
             const double inv = 1.0 / static_cast<double>(band.count);
             band.e2eMeanUs *= inv;
@@ -68,17 +65,11 @@ LatencyAttribution::build(const AttributionResult &res,
         }
     }
 
-    for (const RequestPath &rp : res.requests) {
-        const ReplicaPath &cp = rp.critical;
-        if (rp.replicas > 1)
-            ++out.fanoutRequests;
-        ++out.criticalBySegment[static_cast<std::size_t>(cp.dominant())];
-    }
-
-    const std::size_t keep = std::min(sample_limit, n);
-    out.samples.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i) {
-        const RequestPath &rp = res.requests[i];
+    const std::vector<const RequestPath *> first =
+        earliestArrivals(res, sample_limit);
+    out.samples.reserve(first.size());
+    for (const RequestPath *req : first) {
+        const RequestPath &rp = *req;
         const ReplicaPath &cp = rp.critical;
         RequestSample s;
         s.id = rp.id;

@@ -80,8 +80,9 @@ struct LatencyAttribution
     /** Band label ("p50", "p95", "p99", "p999", "p100"). */
     static const char *bandLabel(std::size_t band);
 
-    /** Aggregate @p res into a report, keeping @p sample_limit exact
-     *  per-request samples. */
+    /** Aggregate @p res, ranked by AttributionCollector::finalize(),
+     *  into a report, keeping @p sample_limit exact per-request
+     *  samples. */
     static LatencyAttribution build(const AttributionResult &res,
                                     std::size_t sample_limit);
 

@@ -144,22 +144,43 @@ SloMonitor::windowGoodFraction(Sli sli, sim::Tick window) const
 double
 SloMonitor::windowP99(sim::Tick t1)
 {
+    // Every sealed bucket is sorted, so the window's k-th smallest
+    // sample is its (n - k + 1)-th largest: pop it off the buckets'
+    // tops through a max-heap holding one head per bucket. Only the top
+    // ~1% of the window is touched, and nothing is copied.
     const sim::Tick from = t1 - policies_[0].longWindow;
-    p99Scratch_.clear();
+    std::vector<Head> &heads = p99Heads_;
+    heads.clear();
+    std::size_t n = 0;
     for (auto it = window_.rbegin(); it != window_.rend(); ++it) {
         if (it->t1 <= from)
             break;
-        p99Scratch_.insert(p99Scratch_.end(), it->latency.begin(),
-                           it->latency.end());
+        if (it->latency.empty())
+            continue;
+        n += it->latency.size();
+        heads.push_back({it->latency.back(), it->latency.data(),
+                         it->latency.size() - 1});
     }
-    if (p99Scratch_.empty())
+    if (n == 0)
         return 0.0;
-    // One order statistic: select it instead of sorting the window.
     const std::size_t k = std::max<std::size_t>(
-        1, stats::exactRankCount(p99Scratch_.size(), 99, 100));
-    const auto kth = p99Scratch_.begin() + static_cast<std::ptrdiff_t>(k - 1);
-    std::nth_element(p99Scratch_.begin(), kth, p99Scratch_.end());
-    return *kth;
+        1, stats::exactRankCount(n, 99, 100));
+    const auto lower = [](const Head &a, const Head &b) {
+        return a.value < b.value;
+    };
+    std::make_heap(heads.begin(), heads.end(), lower);
+    for (std::size_t left = n - k;; --left) {
+        std::pop_heap(heads.begin(), heads.end(), lower);
+        Head &h = heads.back();
+        if (left == 0)
+            return h.value;
+        if (h.below == 0) {
+            heads.pop_back();
+        } else {
+            h.value = h.samples[--h.below];
+            std::push_heap(heads.begin(), heads.end(), lower);
+        }
+    }
 }
 
 void
@@ -176,16 +197,23 @@ SloMonitor::onEpoch(sim::Tick t0, sim::Tick t1)
 
     cur_.t0 = t0;
     cur_.t1 = t1;
+    // Sorted once at the seal: windowP99 merges the sorted buckets.
+    std::sort(cur_.latency.begin(), cur_.latency.end());
     window_.push_back(std::move(cur_));
     cur_ = Bucket{};
 
-    // Evict buckets no window can see anymore.
+    // Evict buckets no window can see anymore; the next bucket reuses
+    // an evicted sample buffer.
     const sim::Tick horizon =
         t1 - std::max(policies_[0].longWindow, policies_[1].longWindow);
-    while (!window_.empty() && window_.front().t1 <= horizon)
+    while (!window_.empty() && window_.front().t1 <= horizon) {
+        cur_.latency = std::move(window_.front().latency);
         window_.pop_front();
+    }
+    cur_.latency.clear();
 
     const double p99 = windowP99(t1);
+    lastP99Us_ = p99;
     worstP99Us_ = std::max(worstP99Us_, p99);
 
     for (std::size_t s = 0; s < kNumSlis; ++s) {

@@ -23,6 +23,16 @@
  * back below it. Two policies run per SLI: a fast-burn pair (page) and
  * a slow-burn pair (ticket), window lengths scaled to sim-time.
  *
+ * Each evaluation also reports the exact-rank p99 latency over the
+ * fast long window (`AlertEvent::windowP99Us`, `worstWindowP99Us()`).
+ * Every epoch bucket keeps up to `kMaxSamplesPerEpoch` samples and is
+ * sorted once, when `onEpoch` seals it. The window p99, the k-th
+ * smallest of the window's n samples, is then the (n - k + 1)-th
+ * largest: a max-heap with one head per bucket pops it off the sorted
+ * buckets' tops. An order statistic is one value, so the result is
+ * exactly the sorted window's, and each epoch costs O(n/100 log
+ * buckets) instead of a pass over the whole window.
+ *
  * The monitor is fed exclusively from single-threaded sections of the
  * fleet engine (flight completion in the merge phase, epoch
  * boundaries), only ever reads simulation state, and allocates from
@@ -162,6 +172,8 @@ class SloMonitor
     sim::Tick timeInViolation() const { return inViolation_; }
     /** Highest rolling window p99 observed at an epoch boundary. */
     double worstWindowP99Us() const { return worstP99Us_; }
+    /** Rolling window p99 at the last sealed epoch (0 before any). */
+    double windowP99Us() const { return lastP99Us_; }
     std::uint64_t latencySamplesDropped() const { return latDropped_; }
     const std::vector<AlertEvent> &alerts() const { return alerts_; }
     const SloConfig &config() const { return cfg_; }
@@ -172,7 +184,8 @@ class SloMonitor
         sim::Tick t0 = 0, t1 = 0;
         std::uint64_t good[kNumSlis] = {};
         std::uint64_t bad[kNumSlis] = {};
-        std::vector<double> latency; ///< bounded percentile context
+        /** Bounded percentile context; sorted when sealed. */
+        std::vector<double> latency;
     };
 
     struct AlertState
@@ -206,8 +219,17 @@ class SloMonitor
     Sli worstSli_ = Sli::Latency;
     sim::Tick inViolation_ = 0;
     double worstP99Us_ = 0.0;
+    double lastP99Us_ = 0.0;
     std::uint64_t latDropped_ = 0;
-    std::vector<double> p99Scratch_;
+    /** A sealed bucket's place in windowP99's merge: the bucket's
+     *  samples[0, below) are still under the head value. */
+    struct Head
+    {
+        double value;
+        const double *samples;
+        std::size_t below;
+    };
+    std::vector<Head> p99Heads_; ///< reused merge heap, one per bucket
 };
 
 } // namespace apc::obs

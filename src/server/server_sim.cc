@@ -50,9 +50,15 @@ ServerSim::ServerSim(ServerConfig cfg)
                    sim::Tick irq_at) {
                 deliverNicBatch(std::move(batch), irq_at);
             });
-        nic_->onRxDrop([this](std::uint64_t id, sim::Tick at) {
-            if (id != kNoRequestId && rxDropFn_)
-                rxDropFn_(id, at, nullptr);
+        nic_->onRxDrop([this](const net::Nic::RxPacket &p) {
+            if (p.id == kNoRequestId)
+                return;
+            // The dropped request never entered the server: it leaves
+            // the live set, so a crash cannot report it and the
+            // client's resend to this server is the only live copy.
+            releaseLive(p.slot);
+            if (rxDropFn_)
+                rxDropFn_(p.id, p.enqueuedAt, nullptr);
         });
     }
 }
@@ -96,44 +102,73 @@ ServerSim::inject(std::uint64_t id, sim::Tick service)
             abortFn_(id, sim_.now(), nullptr);
         return;
     }
-    if (id != kNoRequestId)
-        live_.push_back({id, {}});
+    const std::uint32_t slot =
+        id != kNoRequestId ? addLive(id) : kNoSlot;
     const sim::Tick svc =
         service > 0 ? service : service_->sample(sim_.rng());
-    if (nic_)
-        nic_->rxEnqueue(id, svc);
-    else
-        admit({sim_.now(), svc, false, id});
+    if (nic_) {
+        nic_->rxEnqueue(id, svc, slot);
+    } else {
+        Request r{sim_.now(), svc, false, id};
+        r.slot = slot;
+        admit(r);
+    }
+}
+
+std::uint32_t
+ServerSim::addLive(std::uint64_t id)
+{
+    // One live copy per id: failover never returns to a server that
+    // failed the request, and a NIC resend follows a released drop.
+    assert(std::none_of(live_.begin(), live_.end(),
+                        [id](const LiveRequest &l) { return l.id == id; }));
+    if (liveFree_.empty()) {
+        live_.push_back({id, {}});
+        return static_cast<std::uint32_t>(live_.size() - 1);
+    }
+    const std::uint32_t slot = liveFree_.back();
+    liveFree_.pop_back();
+    live_[slot] = {id, {}};
+    return slot;
+}
+
+ServerSim::LiveRequest *
+ServerSim::findLive(std::uint64_t id, std::uint32_t slot)
+{
+    return slot < live_.size() && live_[slot].id == id ? &live_[slot]
+                                                       : nullptr;
 }
 
 void
-ServerSim::completeInjected(std::uint64_t id)
+ServerSim::releaseLive(std::uint32_t slot)
 {
-    const auto it = std::find_if(
-        live_.begin(), live_.end(),
-        [id](const LiveRequest &l) { return l.id == id; });
-    if (it == live_.end())
+    live_[slot].id = kNoRequestId;
+    liveFree_.push_back(slot);
+}
+
+void
+ServerSim::completeInjected(std::uint64_t id, std::uint32_t slot)
+{
+    const LiveRequest *l = findLive(id, slot);
+    if (!l)
         return; // destroyed by a crash while the response was in flight
-    const obs::ServerChain chain = it->chain;
-    live_.erase(it);
+    const obs::ServerChain chain = l->chain;
+    releaseLive(slot);
     if (completionFn_)
         completionFn_(id, sim_.now(), attr_ ? &chain : nullptr);
 }
 
 void
-ServerSim::segment(std::uint64_t id, obs::Segment s, sim::Tick at,
-                   sim::Tick dur)
+ServerSim::segment(std::uint64_t id, std::uint32_t slot, obs::Segment s,
+                   sim::Tick at, sim::Tick dur)
 {
     if (trace_)
         trace_->span(at, dur, obs::segmentTraceName(s),
                      obs::Track::Segments, id);
-    const auto it = std::find_if(
-        live_.begin(), live_.end(),
-        [id](const LiveRequest &l) { return l.id == id; });
     // A packet whose DMA was in flight when the server crashed is no
     // longer live: its abort already carried the chain.
-    if (it != live_.end())
-        it->chain.add(s, dur);
+    if (LiveRequest *l = findLive(id, slot))
+        l->chain.add(s, dur);
 }
 
 void
@@ -188,15 +223,20 @@ ServerSim::crashNow()
     aborted_ += outstanding();
     // Report the destroyed ids in id order: the fleet's merge re-sorts
     // anyway, but a deterministic emission order keeps any direct
-    // consumer reproducible too.
+    // consumer reproducible too. Free slots hold the largest id, so
+    // they sort last.
     std::sort(live_.begin(), live_.end(),
               [](const LiveRequest &a, const LiveRequest &b) {
                   return a.id < b.id;
               });
     if (abortFn_)
-        for (const LiveRequest &l : live_)
+        for (const LiveRequest &l : live_) {
+            if (l.id == kNoRequestId)
+                break;
             abortFn_(l.id, sim_.now(), attr_ ? &l.chain : nullptr);
+        }
     live_.clear();
+    liveFree_.clear();
 }
 
 void
@@ -219,10 +259,10 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
             if (p.id == kNoRequestId)
                 continue; // internal arrival, not fleet-attributed
             if (irq_at > p.enqueuedAt)
-                segment(p.id, obs::Segment::NicRing, p.enqueuedAt,
-                        irq_at - p.enqueuedAt);
+                segment(p.id, p.slot, obs::Segment::NicRing,
+                        p.enqueuedAt, irq_at - p.enqueuedAt);
             if (dma_done > irq_at)
-                segment(p.id, obs::Segment::IrqHold, irq_at,
+                segment(p.id, p.slot, obs::Segment::IrqHold, irq_at,
                         dma_done - irq_at);
         }
     }
@@ -247,13 +287,13 @@ ServerSim::deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
                 // Every coalesced request pays the one shared package
                 // exit in its own timeline — that sharing is exactly
                 // what the moderation window buys.
-                segment(p.id, obs::Segment::Wake, dma_done,
+                segment(p.id, p.slot, obs::Segment::Wake, dma_done,
                         adm - dma_done);
             // Latency counts from RX-ring arrival: the coalescing wait
             // is part of the request's end-to-end cost. Followers of
             // the batch share the leader's wake.
             assign({p.enqueuedAt, p.service, !first, p.id, adm,
-                    gate_base, inc_});
+                    gate_base, inc_, p.slot});
             first = false;
         }
     });
@@ -276,7 +316,7 @@ ServerSim::admit(Request r)
             if (attr_ && r.id != kNoRequestId && adm > r.arrival)
                 // No NIC model: the whole link transfer + fabric wait
                 // is the wake segment.
-                segment(r.id, obs::Segment::Wake, r.arrival,
+                segment(r.id, r.slot, obs::Segment::Wake, r.arrival,
                         adm - r.arrival);
             r.admitAt = adm;
             r.gateBase = gateClosedTotalAt(adm);
@@ -340,10 +380,11 @@ ServerSim::serveFront(std::size_t idx, bool was_active)
         const sim::Tick gated = gateClosedTotalAt(t0) - r.gateBase;
         const sim::Tick queued = t0 - r.admitAt - gated;
         if (queued > 0)
-            segment(r.id, obs::Segment::Queue, r.admitAt, queued);
+            segment(r.id, r.slot, obs::Segment::Queue, r.admitAt,
+                    queued);
         if (gated > 0)
-            segment(r.id, obs::Segment::StallGate, r.admitAt + queued,
-                    gated);
+            segment(r.id, r.slot, obs::Segment::StallGate,
+                    r.admitAt + queued, gated);
     }
 
     const sim::Tick base = r.service
@@ -404,9 +445,9 @@ ServerSim::finishServe(std::size_t idx)
     if (attr_ && r.id != kNoRequestId) {
         const sim::Tick serve = sim_.now() - t0 - c.dvfsStall;
         if (serve > 0)
-            segment(r.id, obs::Segment::Serve, t0, serve);
+            segment(r.id, r.slot, obs::Segment::Serve, t0, serve);
         if (c.dvfsStall > 0)
-            segment(r.id, obs::Segment::StallDvfs, t0 + serve,
+            segment(r.id, r.slot, obs::Segment::StallDvfs, t0 + serve,
                     c.dvfsStall);
     }
     if (nic_) {
@@ -415,20 +456,21 @@ ServerSim::finishServe(std::size_t idx)
         // has left the device, not when the core finished.
         const std::uint64_t rid = r.id;
         const std::uint32_t rinc = r.inc;
+        const std::uint32_t rslot = r.slot;
         const sim::Tick serve_end = sim_.now();
-        nic_->txSend([this, rid, rinc, serve_end] {
+        nic_->txSend([this, rid, rinc, rslot, serve_end] {
             if (rid == kNoRequestId)
                 return;
             if (rinc != inc_)
                 return; // crashed while the response was in TX
             if (attr_ && sim_.now() > serve_end)
-                segment(rid, obs::Segment::XmitResp, serve_end,
+                segment(rid, rslot, obs::Segment::XmitResp, serve_end,
                         sim_.now() - serve_end);
-            completeInjected(rid);
+            completeInjected(rid, rslot);
         });
     } else {
         if (r.id != kNoRequestId)
-            completeInjected(r.id);
+            completeInjected(r.id, r.slot);
         // Response TX (fire-and-forget; keeps the NIC link busy).
         soc_->nic().transfer(cfg_.workload.nicTransfer, nullptr);
     }

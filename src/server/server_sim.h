@@ -407,6 +407,9 @@ class ServerSim
     const ServerConfig &config() const { return cfg_; }
 
   private:
+    /** Live-slot sentinel of internally generated arrivals. */
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
     struct Request
     {
         sim::Tick arrival;
@@ -421,6 +424,14 @@ class ServerSim
          *  bumps the incarnation, turning every continuation still in
          *  flight into a ghost that must not complete. */
         std::uint32_t inc = 0;
+        std::uint32_t slot = kNoSlot; ///< live_ entry (injected only)
+    };
+
+    /** One slot of live_ (see there). */
+    struct LiveRequest
+    {
+        std::uint64_t id;
+        obs::ServerChain chain;
     };
 
     struct CoreCtx
@@ -443,13 +454,21 @@ class ServerSim
     void admit(Request r);
     /** Crash teardown at the current simulated time (see scheduleCrash). */
     void crashNow();
-    /** Fire the completion hook for @p id unless a crash destroyed it
-     *  while the response was still inside the server. */
-    void completeInjected(std::uint64_t id);
+    /** Fire the completion hook for @p id (live entry @p slot) unless a
+     *  crash destroyed it while the response was still inside the
+     *  server. */
+    void completeInjected(std::uint64_t id, std::uint32_t slot);
     /** Charge [@p at, @p at + @p dur) to segment @p s of live injected
-     *  request @p id, and trace it as a segment span when tracing. */
-    void segment(std::uint64_t id, obs::Segment s, sim::Tick at,
-                 sim::Tick dur);
+     *  request @p id (entry @p slot), and trace it as a segment span
+     *  when tracing. */
+    void segment(std::uint64_t id, std::uint32_t slot, obs::Segment s,
+                 sim::Tick at, sim::Tick dur);
+    /** Enter injected request @p id into live_. @return its slot. */
+    std::uint32_t addLive(std::uint64_t id);
+    /** The live entry @p slot while it still holds @p id; null once a
+     *  crash or a completion released it. */
+    LiveRequest *findLive(std::uint64_t id, std::uint32_t slot);
+    void releaseLive(std::uint32_t slot);
     /** NIC interrupt batch: shared wake, then per-packet admission. */
     void deliverNicBatch(std::vector<net::Nic::RxPacket> batch,
                          sim::Tick irq_at);
@@ -519,14 +538,11 @@ class ServerSim
     std::uint64_t aborted_ = 0; ///< accepted requests destroyed
     /** Injected requests currently alive inside the server (ring,
      *  queue, core, TX) — the set a crash must report as destroyed —
-     *  with the segment ticks each has charged (attribution). A
-     *  lookup takes the first entry with the id. */
-    struct LiveRequest
-    {
-        std::uint64_t id;
-        obs::ServerChain chain;
-    };
+     *  with the segment ticks each has charged (attribution). A slab:
+     *  each request carries its slot, so a charge is one indexed
+     *  access; free slots hold kNoRequestId and sit on liveFree_. */
     std::vector<LiveRequest> live_;
+    std::vector<std::uint32_t> liveFree_;
     RequestHook abortFn_;
     bool attr_ = false; ///< enableAttribution() was called
     stats::Summary nicWakeUs_;

@@ -11,13 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "fleet/fleet_sim.h"
 #include "obs/attribution.h"
 #include "obs/critpath.h"
+#include "stats/rank.h"
 
 namespace apc {
 namespace {
@@ -61,9 +64,9 @@ TEST(Attribution, ReassemblesSyntheticFanoutChain)
     const obs::AttributionResult &res = col.result();
     EXPECT_EQ(res.violations, 0u);
     EXPECT_EQ(res.lostExcluded, 0u);
-    ASSERT_EQ(res.requests.size(), 1u);
+    ASSERT_EQ(res.size(), 1u);
 
-    const obs::RequestPath &rp = res.requests[0];
+    const obs::RequestPath &rp = res.blocks[0][0];
     EXPECT_EQ(rp.id, 7u);
     EXPECT_EQ(rp.arrival, 100 * kUs);
     EXPECT_EQ(rp.e2e, 50 * kUs);
@@ -81,10 +84,11 @@ TEST(Attribution, ReassemblesSyntheticFanoutChain)
     EXPECT_EQ(cp.dominant(), obs::Segment::Serve);
 }
 
-TEST(Attribution, RequestsAreReportedInArrivalOrder)
+TEST(Attribution, RequestsAreRankedByLatencyThenArrival)
 {
-    // Requests close in flight-erase order; the report lists them by
-    // (arrival, id), and an uncharged server share adds no replica.
+    // Requests close in flight-erase order; finalize() ranks them by
+    // (e2e, arrival, id), the samples and flows take them by (arrival,
+    // id), and an uncharged server share adds no replica.
     obs::AttributionCollector col;
     const auto one = [](std::uint32_t srv, sim::Tick serve) {
         obs::RequestChains c;
@@ -95,16 +99,97 @@ TEST(Attribution, RequestsAreReportedInArrivalOrder)
         return c;
     };
     col.finish(5, 30 * kUs, 9 * kUs, one(2, 9 * kUs));
-    col.finish(4, 10 * kUs, 7 * kUs, one(0, 7 * kUs));
+    col.finish(4, 10 * kUs, 8 * kUs, one(0, 8 * kUs));
     col.finish(3, 10 * kUs, 8 * kUs, one(1, 8 * kUs));
+    col.finish(6, 5 * kUs, 8 * kUs, one(3, 8 * kUs));
+    col.finish(7, 1 * kUs, 20 * kUs, one(0, 20 * kUs));
     col.finalize();
     const obs::AttributionResult &res = col.result();
-    ASSERT_EQ(res.requests.size(), 3u);
-    EXPECT_EQ(res.requests[0].id, 3u);
-    EXPECT_EQ(res.requests[1].id, 4u);
-    EXPECT_EQ(res.requests[2].id, 5u);
-    EXPECT_EQ(res.requests[0].replicas, 1u);
-    EXPECT_EQ(res.requests[0].critical.srv, 1u);
+    ASSERT_EQ(res.size(), 5u);
+    std::vector<const obs::RequestPath *> ranked;
+    res.forEachRanked(
+        [&ranked](const obs::RequestPath &rp) { ranked.push_back(&rp); });
+    const std::uint64_t by_rank[] = {6, 3, 4, 5, 7};
+    ASSERT_EQ(ranked.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(ranked[i]->id, by_rank[i]) << "rank " << i;
+    EXPECT_EQ(ranked[1]->replicas, 1u);
+    EXPECT_EQ(ranked[1]->critical.srv, 1u);
+
+    const std::uint64_t by_arrival[] = {7, 6, 3, 4, 5};
+    const auto first = obs::earliestArrivals(res, 5);
+    ASSERT_EQ(first.size(), 5u);
+    for (std::size_t i = 0; i < 5; ++i)
+        EXPECT_EQ(first[i]->id, by_arrival[i]) << "arrival " << i;
+    const auto three = obs::earliestArrivals(res, 3);
+    ASSERT_EQ(three.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(three[i]->id, by_arrival[i]);
+    EXPECT_TRUE(obs::earliestArrivals(res, 0).empty());
+
+    const auto rep = obs::LatencyAttribution::build(res, 4);
+    ASSERT_EQ(rep.samples.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(rep.samples[i].id, by_arrival[i]);
+    const auto flows = obs::buildFlows(res, 2);
+    ASSERT_EQ(flows.size(), 6u);
+    EXPECT_EQ(flows[0].id, 7u);
+    EXPECT_EQ(flows[3].id, 6u);
+}
+
+TEST(Attribution, BlockMergeRanksLikeOneSort)
+{
+    // Several storage blocks, closed out of arrival order and full of
+    // latency ties: the merged rank order is one sort by (e2e,
+    // arrival, id), and each band sums its requests in that order.
+    obs::AttributionCollector col;
+    std::vector<obs::RequestPath> all;
+    std::uint64_t x = 17;
+    const auto next = [&x] {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        return x >> 33;
+    };
+    const std::size_t n = 3 * obs::AttributionResult::kBlockRequests + 123;
+    for (std::uint64_t id = 0; id < n; ++id) {
+        const sim::Tick arrival = static_cast<sim::Tick>(next() % 5000) * kUs;
+        const sim::Tick wait = static_cast<sim::Tick>(next() % 40) * kUs;
+        const sim::Tick serve = static_cast<sim::Tick>(1 + next() % 7) * kUs;
+        obs::RequestChains c;
+        c.charge(static_cast<std::uint32_t>(id % 5), obs::Segment::Queue,
+                 wait);
+        c.charge(static_cast<std::uint32_t>(id % 5), obs::Segment::Serve,
+                 serve);
+        col.finish(id, arrival, wait + serve, c);
+        all.push_back({id, arrival, wait + serve, {}, 1});
+    }
+    col.finalize();
+    std::sort(all.begin(), all.end(),
+              [](const obs::RequestPath &a, const obs::RequestPath &b) {
+                  return std::tie(a.e2e, a.arrival, a.id) <
+                      std::tie(b.e2e, b.arrival, b.id);
+              });
+    const obs::AttributionResult &res = col.result();
+    ASSERT_EQ(res.blocks.size(), 4u);
+    std::vector<std::uint64_t> merged;
+    res.forEachRanked([&merged](const obs::RequestPath &rp) {
+        merged.push_back(rp.id);
+    });
+    ASSERT_EQ(merged.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(merged[i], all[i].id) << "rank " << i;
+
+    const auto rep = obs::LatencyAttribution::build(res, 0);
+    const auto edges = stats::percentileBandEdges(n);
+    for (std::size_t b = 0; b < obs::LatencyAttribution::kNumBands; ++b) {
+        double e2e = 0.0;
+        for (std::size_t r = edges[b]; r < edges[b + 1]; ++r)
+            e2e += sim::toMicros(all[r].e2e);
+        const auto count = static_cast<double>(edges[b + 1] - edges[b]);
+        EXPECT_EQ(rep.bands[b].count, edges[b + 1] - edges[b]);
+        EXPECT_EQ(rep.bands[b].e2eMeanUs, count > 0 ? e2e * (1.0 / count)
+                                                    : 0.0)
+            << "band " << b;
+    }
 }
 
 TEST(Attribution, LostRequestsAreExcluded)
@@ -118,7 +203,7 @@ TEST(Attribution, LostRequestsAreExcluded)
     col.finalize();
 
     const obs::AttributionResult &res = col.result();
-    EXPECT_EQ(res.requests.size(), 0u);
+    EXPECT_EQ(res.size(), 0u);
     EXPECT_EQ(res.lostExcluded, 1u);
     EXPECT_EQ(res.violations, 0u);
 }

@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.h"
 #include "fleet/fleet_sim.h"
+#include "obs/attribution.h"
 #include "obs/audit.h"
 #include "server/server_sim.h"
 
@@ -293,6 +297,57 @@ TEST(ServerLifecycle, DrainStopsAdmissionButFinishesWork)
     EXPECT_EQ(srv.outstanding(), 0u);
 }
 
+TEST(ServerLifecycle, RingDroppedRequestIsNotReportedByACrash)
+{
+    // A request the NIC ring tail-drops never entered the server: the
+    // drop hook reports it once, and a later crash must not report it
+    // again, neither alone nor beside the client's resend to the same
+    // server.
+    server::ServerConfig sc;
+    sc.policy = soc::PackagePolicy::Cpc1a;
+    sc.workload = workload::WorkloadConfig::memcachedEtc(0);
+    sc.externalArrivals = true;
+    sc.seed = 3;
+    sc.nic.enabled = true;
+    sc.nic.rxRingSize = 2;
+    sc.nic.rxUsecs = 1 * kMs;
+    server::ServerSim srv(std::move(sc));
+    std::vector<std::uint64_t> dropped, aborted;
+    srv.onRxDrop([&](std::uint64_t id, sim::Tick,
+                     const obs::ServerChain *) { dropped.push_back(id); });
+    srv.onAbort([&](std::uint64_t id, sim::Tick, const obs::ServerChain *) {
+        aborted.push_back(id);
+    });
+    srv.start();
+
+    // Two fill the ring; the third is tail-dropped. A crash before the
+    // moderated interrupt destroys the two in the ring only.
+    srv.advanceTo(1 * kMs);
+    for (std::uint64_t id = 1; id <= 3; ++id)
+        srv.inject(id, 5 * kMs);
+    EXPECT_EQ(dropped, (std::vector<std::uint64_t>{3}));
+    srv.scheduleCrash(1 * kMs + 100 * kUs);
+    srv.scheduleRestart(2 * kMs, 3 * kMs);
+    srv.advanceTo(4 * kMs);
+    EXPECT_EQ(aborted, (std::vector<std::uint64_t>{1, 2}));
+    ASSERT_EQ(srv.lifecycle(), server::Lifecycle::Up);
+
+    // Again after the restart, now with the dropped request resent to
+    // this server once the interrupt drained the ring: the crash
+    // reports each live request exactly once.
+    aborted.clear();
+    for (std::uint64_t id = 11; id <= 13; ++id)
+        srv.inject(id, 5 * kMs);
+    EXPECT_EQ(dropped, (std::vector<std::uint64_t>{3, 13}));
+    srv.advanceTo(5 * kMs + 500 * kUs);
+    srv.inject(13, 5 * kMs);
+    srv.scheduleCrash(7 * kMs);
+    srv.advanceTo(8 * kMs);
+    EXPECT_EQ(aborted, (std::vector<std::uint64_t>{11, 12, 13}));
+    EXPECT_EQ(srv.completed(), 0u);
+    EXPECT_EQ(srv.accepted(), srv.aborted());
+}
+
 // ------------------------------------------------- fleet churn grid
 
 std::string
@@ -411,6 +466,95 @@ TEST(FleetChurn, RestartedServerRejoinsTheBudgetWithinBothLaws)
     EXPECT_EQ(rep.health.auditViolations, 0u);
     EXPECT_GE(fleet.server(3).powerLimitW() + fc.budgetDeadbandW,
               fc.budget.minServerW);
+}
+
+TEST(FleetChurn, NicRingDropsUnderCrashesKeepTheBooks)
+{
+    // A two-descriptor NIC ring tail-drops often, and a crash hazard of
+    // 100/s lands crashes between a drop and its resend. Every crash
+    // reports only requests still inside the server, so each abort
+    // finds its flight (asserted in drainAborts) and the auditor's
+    // conservation laws hold.
+    fleet::FleetConfig fc;
+    fc.numServers = 8;
+    fc.nic.enabled = true;
+    fc.nic.rxRingSize = 2;
+    fc.faults.enabled = true;
+    fc.faults.crash.ratePerSec = 100.0;
+    fc.recovery.enabled = true;
+    fc.health.enabled = true;
+    fc.duration = 40 * kMs;
+    fc.seed = 1;
+    const fleet::FleetReport rep = fleet::FleetSim(fc).run();
+    ASSERT_GT(rep.dispatched, 1000u);
+    EXPECT_GT(rep.nicRxDrops, 0u);
+    EXPECT_GT(rep.failovers, 0u);
+    ASSERT_TRUE(rep.health.enabled);
+    EXPECT_GT(rep.health.audits, 50u);
+    EXPECT_EQ(rep.health.auditViolations, 0u);
+}
+
+TEST(FleetChurn, TimeoutsFireInDeadlineIdAttemptOrder)
+{
+    // Every server's NIC freezes for 8 ms: no response comes back, so
+    // every attempt in the window times out. Failovers re-dispatch at
+    // the epoch edge, so their timeouts share one deadline, and the
+    // third timeout gives the request up (a Lost instant on the fleet
+    // trace). The losses must come out in (deadline, id) order; the
+    // deadline is the request's last re-dispatch instant (the end of
+    // its latest failover segment) plus the timeout.
+    fleet::FleetConfig fc;
+    fc.numServers = 8;
+    fc.warmup = 5 * kMs;
+    fc.duration = 30 * kMs;
+    fc.traffic.qps = 40000.0;
+    fc.seed = 5;
+    fc.nic.enabled = true;
+    fc.faults.enabled = true;
+    for (std::uint32_t s = 0; s < fc.numServers; ++s)
+        fc.faults.scripted.push_back(
+            {10 * kMs, 8 * kMs, fault::FaultKind::NicFreeze, s});
+    fc.recovery.enabled = true;
+    fc.recovery.requestTimeout = 300 * kUs;
+    fc.recovery.maxAttempts = 3;
+    fc.trace.enabled = true;
+    fc.attribution.enabled = true;
+    fleet::FleetSim fleet(fc);
+    const fleet::FleetReport rep = fleet.run();
+    // Losses only come from exhausted timeouts.
+    EXPECT_EQ(rep.nicRxDrops, 0u);
+    EXPECT_EQ(rep.lostRequests, 0u);
+    EXPECT_GT(rep.timeouts, 100u);
+
+    const obs::TraceWriter *spine = fleet.tracer()->writer(0);
+    std::map<std::uint64_t, sim::Tick> redispatch;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> lost; // seq, id
+    for (const obs::Tracer::MergedRecord &m : fleet.tracer()->merged()) {
+        if (m.writer != 0)
+            continue;
+        const obs::TraceRecord &r = *m.rec;
+        if (r.name == static_cast<obs::StrId>(obs::segmentTraceName(
+                          obs::Segment::Failover))) {
+            sim::Tick &at = redispatch[r.id];
+            at = std::max(at, r.ts + r.dur);
+        } else if (r.name == static_cast<obs::StrId>(obs::Name::Lost)) {
+            lost.emplace_back(r.seq, r.id);
+        }
+    }
+    ASSERT_EQ(spine->dropped(), 0u);
+    std::sort(lost.begin(), lost.end()); // emission order
+    ASSERT_GT(lost.size(), 100u);
+    std::pair<sim::Tick, std::uint64_t> prev{0, 0};
+    std::size_t tied = 0;
+    for (const auto &[seq, id] : lost) {
+        ASSERT_EQ(redispatch.count(id), 1u) << "request " << id;
+        const std::pair<sim::Tick, std::uint64_t> key{
+            redispatch[id] + fc.recovery.requestTimeout, id};
+        EXPECT_LT(prev, key) << "request " << id;
+        tied += key.first == prev.first;
+        prev = key;
+    }
+    EXPECT_GT(tied, 10u); // equal deadlines were exercised
 }
 
 TEST(FleetChurn, ReportAndAlertLogBytesAreLayoutInvariant)

@@ -223,8 +223,60 @@ TEST(SloMonitor, WindowP99SelectionMatchesSortedRank)
             window.insert(window.end(), epochs[e].begin(), epochs[e].end());
         if (!window.empty())
             worst = std::max(worst, sortedP99(window));
+        ASSERT_EQ(m.windowP99Us(), window.empty() ? 0.0
+                                                  : sortedP99(window))
+            << "epoch " << k;
         ASSERT_EQ(m.worstWindowP99Us(), worst) << "epoch " << k;
     }
+
+    // The merge over sorted buckets, checked every epoch against the
+    // sorted window. The slow long window (12 ms) keeps buckets the
+    // fast long window (8 ms, the p99's) no longer covers; epochs are
+    // 1-3 half-milliseconds long, so some bucket ends exactly on the
+    // window's lower edge and must drop out. Buckets are empty, hold
+    // one sample, all-equal samples, ties, or overflow the per-epoch
+    // cap (the reference keeps the first kMaxSamplesPerEpoch).
+    obs::SloConfig c = scriptedSlo();
+    c.slow = {12 * kMs, 2 * kMs, 1e9, "ticket"};
+    obs::SloMonitor rolled(c, 0.0);
+    constexpr std::size_t cap = obs::SloMonitor::kMaxSamplesPerEpoch;
+    std::vector<std::pair<sim::Tick, std::vector<double>>> sealed;
+    sim::Tick t = 0;
+    int edge_hits = 0;
+    for (int k = 0; k < 400; ++k) {
+        const sim::Tick t0 = t;
+        t += static_cast<sim::Tick>(1 + rng() % 3) * kMs / 2;
+        std::size_t n = 0;
+        switch (rng() % 6) {
+        case 0: n = 0; break;
+        case 1: n = 1; break;
+        case 2: n = cap + 1 + rng() % 50; break;
+        default: n = rng() % 400; break;
+        }
+        const int kind = static_cast<int>(rng() % 3);
+        const double same = draw(false);
+        std::vector<double> kept;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double v = kind == 0 ? same : draw(kind == 1);
+            rolled.recordLatency(v);
+            if (kept.size() < cap)
+                kept.push_back(v);
+        }
+        rolled.onEpoch(t0, t);
+        sealed.emplace_back(t, std::move(kept));
+        std::vector<double> window;
+        const sim::Tick from = t - c.fast.longWindow;
+        for (const auto &[end, samples] : sealed) {
+            edge_hits += end == from;
+            if (end > from)
+                window.insert(window.end(), samples.begin(),
+                              samples.end());
+        }
+        ASSERT_EQ(rolled.windowP99Us(),
+                  window.empty() ? 0.0 : sortedP99(window))
+            << "epoch " << k << ", " << window.size() << " samples";
+    }
+    EXPECT_GT(edge_hits, 0); // the eviction edge was exercised
 }
 
 TEST(SloMonitor, IdleFleetIsFullyAvailableNotNaN)

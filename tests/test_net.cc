@@ -188,9 +188,8 @@ struct NicHarness
             batches.push_back(std::move(b));
             irqAts.push_back(irq_at);
         });
-        nic.onRxDrop([this](std::uint64_t id, sim::Tick) {
-            drops.push_back(id);
-        });
+        nic.onRxDrop(
+            [this](const Nic::RxPacket &p) { drops.push_back(p.id); });
     }
 };
 

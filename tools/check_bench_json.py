@@ -11,6 +11,7 @@ Usage:
     check_bench_json.py churn      BENCH_churn.json
     check_bench_json.py fleet-demo TRACE.json METRICS.csv BLAME.json HEALTH.json
     check_bench_json.py blame      BLAME.json
+    check_bench_json.py health     HEALTH.json
 
 `simcore` keeps its speedup target advisory: a geomean below 1.5x
 prints a GitHub `::warning` annotation instead of failing, because a
@@ -223,6 +224,7 @@ KINDS = {
     "churn": (check_churn, 1),
     "fleet-demo": (check_fleet_demo, 4),
     "blame": (check_blame, 1),
+    "health": (check_health, 1),
 }
 
 
