@@ -79,17 +79,12 @@ Nic::freeze(sim::Tick until)
     });
 }
 
-std::vector<std::uint64_t>
+void
 Nic::crashAbort()
 {
     timer_.restart();
-    std::vector<std::uint64_t> ids;
-    ids.reserve(ring_.size());
-    for (const RxPacket &p : ring_)
-        ids.push_back(p.id);
     stats_.rxAborted += ring_.size();
     ring_.clear();
-    return ids;
 }
 
 void

@@ -139,12 +139,12 @@ class Nic
 
     /**
      * Server crash: destroy every unsignalled RX descriptor and drop
-     * the moderation timer. @return the request ids the ring carried
-     * (the caller reports them lost — a crash never silently vanishes
+     * the moderation timer. The owner reports the ids the ring carried
+     * lost from its own live set (a crash never silently vanishes
      * work). A DMA batch already in flight is not recalled; the owner
      * discards it on delivery by its pre-crash enqueue time.
      */
-    std::vector<std::uint64_t> crashAbort();
+    void crashAbort();
 
     const NicStats &stats() const { return stats_; }
 

@@ -8,19 +8,29 @@
  * the total order by (when, seq).
  *
  * The implementation is built for the fleet-sweep hot path (millions of
- * short-horizon timers per run):
+ * short-horizon timers per run), where the host cost of one event is
+ * most of the simulator's run time:
  *
  *  - **Slab-pooled event records.** Callbacks live in a pooled
- *    `EventRecord` with an inline small-buffer callable
- *    (`InplaceFunction`), so scheduling performs no callable or
- *    `shared_ptr` heap allocation. Slots are recycled through a free
- *    list.
+ *    `Record` with an inline small-buffer callable (`InplaceFunction`),
+ *    so scheduling performs no callable or `shared_ptr` heap
+ *    allocation. Records sit in 16-record chunks that never move, and
+ *    free slots are recycled through a free list.
  *
- *  - **One binary min-heap** of 24-byte (when, seq, slot) refs orders
- *    the pending events. A simulated server holds few at once (21–50
- *    at its peak, averaged over the servers of each perfbench
- *    workload), so a 2048-bucket near-future timer wheel took only
- *    15–51% of the schedules and cost ~100 KB per server.
+ *  - **Callbacks run in place.** step() invokes the callable inside its
+ *    record and frees the slot only after the callback returns: the
+ *    slot stays held while its callback runs, so a callback that
+ *    schedules (and grows the slab by a chunk) never moves or reuses
+ *    the record it is executing from. Each callable is destroyed
+ *    exactly once, right after it returns.
+ *
+ *  - **One 4-ary min-heap** of 16-byte `{when, seq << 24 | slot}` refs
+ *    orders the pending events. The sequence number sits above the
+ *    slot, so the key compares in (when, seq) order; keys are unique,
+ *    so the heap pops the same sequence as any other min-heap. A
+ *    simulated server holds few events at once (21–50 at its peak,
+ *    averaged over the servers of each perfbench workload), so the
+ *    shallow, wide heap stays in a few cache lines.
  *
  * Every scheduled event fires. A component abandons one by guarding it
  * with a `sim::Flow` (sim/callback.h) and restarting the flow, which
@@ -34,6 +44,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_function.h"
@@ -74,7 +85,7 @@ class EventQueue
     void
     scheduleAt(Tick when, F &&fn)
     {
-        records_[prepareSchedule(when)].fn = std::forward<F>(fn);
+        record(prepareSchedule(when)).fn = std::forward<F>(fn);
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
@@ -109,8 +120,9 @@ class EventQueue
     /** Total events executed since construction (stale ones included). */
     std::uint64_t executedEvents() const { return executed_; }
 
-    /** Allocated record-pool slots (high-water mark of pendingEvents). */
-    std::size_t poolCapacity() const { return records_.size(); }
+    /** Record-pool slots handed out so far: the high-water mark of
+     *  the pending events plus the one whose callback is running. */
+    std::size_t poolCapacity() const { return slots_; }
 
     /**
      * Events scheduled since construction, split by the container they
@@ -122,6 +134,12 @@ class EventQueue
 
   private:
     static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+    /** Low key bits hold the slot; the sequence number sits above. */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
+    /** Records per slab chunk (a power of two). */
+    static constexpr unsigned kChunkBits = 4;
+    static constexpr std::uint32_t kChunkMask = (1u << kChunkBits) - 1;
 
     /** Pooled event record; the callable lives inline here. */
     struct Record
@@ -130,40 +148,44 @@ class EventQueue
         std::uint32_t nextFree = kNoSlot;
     };
 
-    /** Lightweight entry stored in the heap. */
+    /** Heap entry: min-heap by (when, key), key = seq << 24 | slot. */
     struct Ref
     {
         Tick when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-    };
+        std::uint64_t key;
 
-    /** Heap comparator: min-heap by (when, seq). */
-    struct RefLater
-    {
         bool
-        operator()(const Ref &a, const Ref &b) const
+        operator<(const Ref &o) const
         {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
+            return when != o.when ? when < o.when : key < o.key;
         }
     };
+    static_assert(sizeof(Ref) == 16);
+
+    Record &
+    record(std::uint32_t slot)
+    {
+        return chunks_[slot >> kChunkBits][slot & kChunkMask];
+    }
 
     /**
      * Allocate a record, assign its sequence number, and place the
-     * (when, seq, slot) ref on the heap. The caller fills in the
-     * callable. @return the record slot.
+     * ref on the heap. The caller fills in the callable.
+     * @return the record slot.
      */
     std::uint32_t prepareSchedule(Tick when);
 
-    std::uint32_t allocSlot();
-    void freeSlot(std::uint32_t slot);
+    /** Pop the earliest ref and run its callback. @pre !heap_.empty() */
+    void fireNext();
 
-    std::vector<Record> records_;
+    std::uint32_t allocSlot();
+
+    /** Fixed-size chunks: a record never moves once allocated. */
+    std::vector<std::unique_ptr<Record[]>> chunks_;
+    std::uint32_t slots_ = 0; ///< slots handed out so far
     std::uint32_t freeHead_ = kNoSlot;
 
-    /** Pending events, min-heap by (when, seq). */
+    /** Pending events, a 4-ary min-heap of refs. */
     std::vector<Ref> heap_;
 
     Tick now_ = 0;

@@ -53,30 +53,30 @@ Signal::subscribe(SignalObserver fn)
 }
 
 AndTree::AndTree(Simulation &sim, const std::string &name, Tick prop_delay)
-    : sim_(sim), propDelay_(prop_delay), out_(sim, name, false)
+    : propDelay_(prop_delay), out_(sim, name, false)
 {}
 
 void
 AndTree::addInput(Signal &in)
 {
     inputs_.push_back(&in);
-    in.subscribe([this](bool) { onInputEdge(); });
+    high_ += in.read();
+    in.subscribe([this](bool v) { onInputEdge(v); });
     // Reflect the (possibly already-true) combinational value.
-    onInputEdge();
-}
-
-bool
-AndTree::combinational() const
-{
-    if (inputs_.empty())
-        return false;
-    return std::all_of(inputs_.begin(), inputs_.end(),
-                       [](const Signal *s) { return s->read(); });
+    out_.writeAfter(propDelay_, combinational());
 }
 
 void
-AndTree::onInputEdge()
+AndTree::onInputEdge(bool v)
 {
+    if (v)
+        ++high_;
+    else
+        --high_;
+    assert(combinational() ==
+               std::all_of(inputs_.begin(), inputs_.end(),
+                           [](const Signal *s) { return s->read(); }) &&
+           "AndTree high-input count out of step with its inputs");
     out_.writeAfter(propDelay_, combinational());
 }
 

@@ -100,8 +100,10 @@ class Signal
 
 /**
  * AND-aggregation of input signals into an output signal, with a
- * propagation delay. The output level is recomputed on every input edge;
- * output updates are scheduled after the delay, last-change-wins.
+ * propagation delay. The tree counts its high inputs: every observer
+ * call is a real edge, so the count moves by one per edge and the
+ * output level is recomputed in O(1). Output updates are scheduled
+ * after the delay, last-change-wins.
  */
 class AndTree
 {
@@ -121,15 +123,19 @@ class AndTree
     const Signal &output() const { return out_; }
 
     /** Combinational value of the AND over inputs right now (pre-delay). */
-    bool combinational() const;
+    bool
+    combinational() const
+    {
+        return !inputs_.empty() && high_ == inputs_.size();
+    }
 
   private:
-    void onInputEdge();
+    void onInputEdge(bool v);
 
-    Simulation &sim_;
     Tick propDelay_;
     Signal out_;
-    std::vector<Signal *> inputs_;
+    std::vector<const Signal *> inputs_; ///< wiring (and debug checks)
+    std::size_t high_ = 0;               ///< inputs now high
 };
 
 } // namespace apc::sim

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.h"
@@ -312,6 +313,161 @@ TEST(EventQueue, FiresInWhenSeqOrderUnderRandomChurn)
                          return a.first < b.first;
                      });
     EXPECT_EQ(c.fired, expect);
+}
+
+/** Lifecycle log of probe-carrying callbacks: `r` when a callback
+ *  returns, `d` when the callable holding the probe is destroyed. */
+struct ProbeLog
+{
+    std::vector<std::pair<char, int>> log;
+    std::vector<int> destroyed; ///< per probe id
+};
+
+/** Non-trivially-destructible capture that logs when the live copy
+ *  dies; a moved-from probe logs nothing. */
+struct Probe
+{
+    ProbeLog *owner;
+    int id;
+    std::string tag; ///< long enough to live on the heap
+
+    static std::string
+    tagFor(int id)
+    {
+        return "probe-" + std::to_string(id) + std::string(40, '.');
+    }
+
+    Probe(ProbeLog *o, int i) : owner(o), id(i), tag(tagFor(i)) {}
+    Probe(const Probe &) = default;
+    Probe(Probe &&o) noexcept
+        : owner(std::exchange(o.owner, nullptr)), id(o.id),
+          tag(std::move(o.tag))
+    {}
+    Probe &operator=(const Probe &) = delete;
+    Probe &operator=(Probe &&) = delete;
+
+    ~Probe()
+    {
+        if (owner) {
+            ++owner->destroyed[static_cast<std::size_t>(id)];
+            owner->log.emplace_back('d', id);
+        }
+    }
+};
+
+TEST(EventQueue, CallbacksRunInPlaceAndDieOnceAfterReturning)
+{
+    // step() runs each callable inside its pooled record. A callback
+    // that schedules enough events to add slab chunks must still read
+    // its own captures intact afterwards (ASan flags a record that
+    // moved under it), every callable must be destroyed exactly once,
+    // right after it returns, and the fire order must stay (when, seq).
+    // Half the callbacks capture more than EventFn's 64 inline bytes,
+    // so they take the heap fallback.
+    struct Churn
+    {
+        Rng rng{41};
+        EventQueue q;
+        ProbeLog probes;
+        std::vector<std::pair<Tick, int>> scheduled;
+        std::vector<std::pair<Tick, int>> fired;
+        std::size_t maxBurstGrowth = 0;
+
+        void
+        schedule(Tick when)
+        {
+            const int id = static_cast<int>(scheduled.size());
+            scheduled.emplace_back(when, id);
+            probes.destroyed.push_back(0);
+            if (rng.uniform() < 0.5) {
+                auto fn = [this, p = Probe(&probes, id)] { onFire(p); };
+                static_assert(EventFn::storesInline<decltype(fn)>());
+                q.scheduleAt(when, std::move(fn));
+            } else {
+                std::array<std::uint64_t, 8> pad{};
+                pad.fill(static_cast<std::uint64_t>(id));
+                auto fn = [this, pad, p = Probe(&probes, id)] {
+                    for (const std::uint64_t x : pad)
+                        EXPECT_EQ(x, static_cast<std::uint64_t>(p.id));
+                    onFire(p);
+                };
+                static_assert(!EventFn::storesInline<decltype(fn)>());
+                q.scheduleAt(when, std::move(fn));
+            }
+        }
+
+        void
+        onFire(const Probe &p)
+        {
+            EXPECT_EQ(probes.destroyed[static_cast<std::size_t>(p.id)], 0)
+                << "probe " << p.id << " destroyed before it ran";
+            fired.emplace_back(q.now(), p.id);
+            // Bounded, so the churn dies out.
+            const double u = scheduled.size() < 20000 ? rng.uniform() : 1.0;
+            if (u < 0.02) {
+                // A burst from inside a callback: several new chunks.
+                const std::size_t before = q.poolCapacity();
+                for (int i = 0; i < 48; ++i)
+                    schedule(q.now() + kNs * rng.uniformInt(0, 50));
+                maxBurstGrowth =
+                    std::max(maxBurstGrowth, q.poolCapacity() - before);
+            } else if (u < 0.4) {
+                schedule(q.now() + kNs * rng.uniformInt(0, 2000));
+            }
+            // The captures survived whatever this callback scheduled.
+            EXPECT_EQ(p.tag, Probe::tagFor(p.id));
+            probes.log.emplace_back('r', p.id);
+        }
+    } c;
+
+    for (int round = 0; round < 200; ++round) {
+        const int burst = static_cast<int>(c.rng.uniformInt(0, 20));
+        for (int i = 0; i < burst; ++i)
+            c.schedule(c.q.now() + kNs * c.rng.uniformInt(0, 5000));
+        c.q.runUntil(c.q.now() + kNs * c.rng.uniformInt(0, 3000));
+    }
+    c.q.runAll();
+
+    ASSERT_GT(c.fired.size(), 3000u);
+    EXPECT_GE(c.maxBurstGrowth, 32u); // the slab grew mid-callback
+    // Exactly once each, and each right after its own callback
+    // returned, before any other event ran.
+    for (std::size_t id = 0; id < c.probes.destroyed.size(); ++id)
+        ASSERT_EQ(c.probes.destroyed[id], 1) << "probe " << id;
+    ASSERT_EQ(c.probes.log.size(), 2 * c.fired.size());
+    for (std::size_t i = 0; i < c.probes.log.size(); i += 2) {
+        ASSERT_EQ(c.probes.log[i].first, 'r') << "entry " << i;
+        ASSERT_EQ(c.probes.log[i + 1],
+                  std::make_pair('d', c.probes.log[i].second))
+            << "entry " << i;
+    }
+    std::vector<std::pair<Tick, int>> expect = c.scheduled;
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    EXPECT_EQ(c.fired, expect);
+}
+
+TEST(EventQueue, PendingCallablesDieOnceWithTheQueue)
+{
+    ProbeLog probes;
+    probes.destroyed.assign(40, 0);
+    {
+        EventQueue q;
+        for (int id = 0; id < 40; ++id) {
+            if (id % 2 == 0)
+                q.scheduleAt(10 + id, [p = Probe(&probes, id)] {});
+            else
+                q.scheduleAt(10 + id, [p = Probe(&probes, id),
+                                       pad = std::array<char, 96>{}] {});
+        }
+        q.runUntil(29); // ids 0..19 fire
+        EXPECT_EQ(q.pendingEvents(), 20u);
+    }
+    for (int id = 0; id < 40; ++id)
+        EXPECT_EQ(probes.destroyed[static_cast<std::size_t>(id)], 1)
+            << "probe " << id;
 }
 
 TEST(EventQueue, RestartThenFireRaceSameTick)

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -297,6 +300,110 @@ TEST(AndTree, AlreadyHighInputsReflectedAtAttach)
     t.addInput(b);
     s.runAll();
     EXPECT_TRUE(t.output().read());
+}
+
+/** The AND tree as it was before it counted its high inputs: every
+ *  input edge rescans all inputs. The differential reference. */
+class ScanAndTree
+{
+  public:
+    ScanAndTree(Simulation &sim, Tick prop_delay)
+        : propDelay_(prop_delay), out_(sim, "scan", false)
+    {}
+
+    void
+    addInput(Signal &in)
+    {
+        inputs_.push_back(&in);
+        in.subscribe([this](bool) { update(); });
+        update();
+    }
+
+    bool
+    combinational() const
+    {
+        return !inputs_.empty() &&
+            std::all_of(inputs_.begin(), inputs_.end(),
+                        [](const Signal *s) { return s->read(); });
+    }
+
+    Signal &output() { return out_; }
+
+  private:
+    void update() { out_.writeAfter(propDelay_, combinational()); }
+
+    Tick propDelay_;
+    Signal out_;
+    std::vector<Signal *> inputs_;
+};
+
+TEST(AndTree, CountedTreeMatchesAFullRescanUnderRandomToggles)
+{
+    // Seeded random toggles of N inputs, immediate and delayed, some
+    // attached only after the run started (already high or not): the
+    // counted tree's output edge log must equal the rescanning
+    // reference's, and combinational() must equal all_of on every
+    // input edge.
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        std::mt19937_64 rng(seed);
+        const int n = 1 + static_cast<int>(seed % 10);
+        const Tick delay = static_cast<Tick>(rng() % 3) * kNs;
+        Simulation s;
+        AndTree tree(s, "and", delay);
+        ScanAndTree ref(s, delay);
+        std::vector<std::unique_ptr<Signal>> in;
+        for (int i = 0; i < n; ++i)
+            in.push_back(std::make_unique<Signal>(
+                s, "in" + std::to_string(i), rng() % 4 != 0));
+
+        std::vector<std::pair<Tick, bool>> got, want;
+        tree.output().subscribe(
+            [&](bool v) { got.emplace_back(s.now(), v); });
+        ref.output().subscribe(
+            [&](bool v) { want.emplace_back(s.now(), v); });
+        int attached = 0, checked = 0;
+        auto attach = [&](int i) {
+            Signal &w = *in[static_cast<std::size_t>(i)];
+            tree.addInput(w);
+            ref.addInput(w);
+            ++attached;
+            // Subscribed after both trees, so it sees their state
+            // after the edge.
+            w.subscribe([&](bool) {
+                ++checked;
+                EXPECT_EQ(tree.combinational(), ref.combinational())
+                    << "seed " << seed << " at " << s.now();
+            });
+        };
+        // The first half is wired at time zero, the rest mid-run.
+        const int early = (n + 1) / 2;
+        for (int i = 0; i < early; ++i)
+            attach(i);
+        s.at(500 * kNs, [&] {
+            for (int i = early; i < n; ++i)
+                attach(i);
+        });
+        for (int op = 0; op < 3000; ++op) {
+            const Tick at = static_cast<Tick>(rng() % 1000) * kNs;
+            const auto i = static_cast<std::size_t>(rng() % n);
+            // Bias toward high so the AND actually rises.
+            const bool v = rng() % 5 != 0;
+            const bool later = rng() % 2 == 0;
+            const Tick d = static_cast<Tick>(rng() % 4) * kNs;
+            s.at(at, [&w = *in[i], v, later, d] {
+                if (later)
+                    w.writeAfter(d, v);
+                else
+                    w.write(v);
+            });
+        }
+        s.runAll();
+        EXPECT_EQ(attached, n);
+        EXPECT_GT(checked, 100) << "seed " << seed;
+        EXPECT_GT(want.size(), 4u) << "seed " << seed;
+        EXPECT_EQ(got, want) << "seed " << seed;
+        EXPECT_EQ(tree.combinational(), ref.combinational());
+    }
 }
 
 } // namespace
