@@ -844,6 +844,12 @@ FleetSim::processRecovery(sim::Tick t1)
             assert(it != inFlight_.end()); // retryPending pins the shell
             Flight &fl = it->second;
             fl.retryPending = false;
+            if (fl.resolved) {
+                // A late response answered the client while the retry
+                // waited: nobody waits for another replica.
+                finishFlight(it);
+                continue;
+            }
             // Re-dispatch at the quiescent epoch edge (the servers
             // already advanced past the nominal due instant).
             const sim::Tick at = std::max(rt.first, t1);

@@ -494,15 +494,12 @@ TEST(FleetChurn, NicRingDropsUnderCrashesKeepTheBooks)
     EXPECT_EQ(rep.health.auditViolations, 0u);
 }
 
-TEST(FleetChurn, TimeoutsFireInDeadlineIdAttemptOrder)
+/** Every server's NIC freezes for 8 ms: no response comes back, so
+ *  every attempt in the window times out and fails over. When the
+ *  freeze ends, late responses race the pending retries. */
+fleet::FleetConfig
+nicFreezeFleet()
 {
-    // Every server's NIC freezes for 8 ms: no response comes back, so
-    // every attempt in the window times out. Failovers re-dispatch at
-    // the epoch edge, so their timeouts share one deadline, and the
-    // third timeout gives the request up (a Lost instant on the fleet
-    // trace). The losses must come out in (deadline, id) order; the
-    // deadline is the request's last re-dispatch instant (the end of
-    // its latest failover segment) plus the timeout.
     fleet::FleetConfig fc;
     fc.numServers = 8;
     fc.warmup = 5 * kMs;
@@ -519,6 +516,18 @@ TEST(FleetChurn, TimeoutsFireInDeadlineIdAttemptOrder)
     fc.recovery.maxAttempts = 3;
     fc.trace.enabled = true;
     fc.attribution.enabled = true;
+    return fc;
+}
+
+TEST(FleetChurn, TimeoutsFireInDeadlineIdAttemptOrder)
+{
+    // Failovers re-dispatch at the epoch edge, so their timeouts share
+    // one deadline, and the third timeout gives the request up (a Lost
+    // instant on the fleet trace). The losses must come out in
+    // (deadline, id) order; the deadline is the request's last
+    // re-dispatch instant (the end of its latest failover segment)
+    // plus the timeout.
+    const fleet::FleetConfig fc = nicFreezeFleet();
     fleet::FleetSim fleet(fc);
     const fleet::FleetReport rep = fleet.run();
     // Losses only come from exhausted timeouts.
@@ -555,6 +564,44 @@ TEST(FleetChurn, TimeoutsFireInDeadlineIdAttemptOrder)
         prev = key;
     }
     EXPECT_GT(tied, 10u); // equal deadlines were exercised
+}
+
+TEST(FleetChurn, NoReplicaGoesOutForAResolvedFlight)
+{
+    // A late response that answers the client while its failover retry
+    // waits out the backoff must cancel the retry. On the fleet trace
+    // a re-dispatch emits the request's failover segments and the
+    // resolution emits its Request span (or Lost instant), so no
+    // failover segment may follow the resolution in emission order.
+    // Before the retry loop checked for a resolution, this scenario
+    // emitted 32 failover segments after their request resolved.
+    fleet::FleetSim fleet(nicFreezeFleet());
+    const fleet::FleetReport rep = fleet.run();
+    ASSERT_GT(rep.failovers, 100u);
+    ASSERT_EQ(fleet.tracer()->writer(0)->dropped(), 0u);
+
+    const auto failover = static_cast<obs::StrId>(
+        obs::segmentTraceName(obs::Segment::Failover));
+    std::map<std::uint64_t, std::uint32_t> resolvedAt; // id -> seq
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> sent;
+    for (const obs::Tracer::MergedRecord &m : fleet.tracer()->merged()) {
+        if (m.writer != 0)
+            continue;
+        const obs::TraceRecord &r = *m.rec;
+        if (r.name == failover)
+            sent.emplace_back(r.id, r.seq);
+        else if (r.name == static_cast<obs::StrId>(obs::Name::Request) ||
+                 r.name == static_cast<obs::StrId>(obs::Name::Lost))
+            resolvedAt.emplace(r.id, r.seq);
+    }
+    ASSERT_GT(sent.size(), 100u);
+    std::size_t late = 0;
+    for (const auto &[id, seq] : sent) {
+        const auto it = resolvedAt.find(id);
+        if (it != resolvedAt.end()) // else still in flight at the end
+            late += seq > it->second;
+    }
+    EXPECT_EQ(late, 0u);
 }
 
 TEST(FleetChurn, ReportAndAlertLogBytesAreLayoutInvariant)
