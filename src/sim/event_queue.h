@@ -80,6 +80,9 @@ class EventQueue
      *
      * @pre when >= now(); scheduling in the past is a simulator bug and
      *      asserts in debug builds (clamped to now() otherwise).
+     * @throws std::length_error past 2^24 events pending at once or
+     *      2^40 events scheduled in total (the widths of the key's
+     *      slot and sequence fields).
      */
     template <typename F>
     void
